@@ -27,7 +27,8 @@ use crate::summary::{CallCtx, Event, ParamBinding};
 use crate::summary::{FnvMap, FnvSet};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Mirrors the seed's `while` fixpoint bound.
+/// Pass bound on `while` fixpoints, shared by the reduced pre-pass and
+/// the full analysis.
 pub(crate) const MAX_LOOP_PASSES: usize = 6;
 
 /// Sentinel container name for an iterator argument whose target
@@ -229,7 +230,8 @@ fn binds_names(stmts: &[Stmt]) -> bool {
 /// Reduced transfer. `sink` fires at every `invoke` with the state in
 /// effect there. Name-binding statements mirror the full analyzer's
 /// scope rules exactly (including *not* binding when the referenced
-/// container/iterator is undeclared — the seed reports and skips).
+/// container/iterator is undeclared — the full analyzer reports and
+/// skips).
 fn exec_red(
     stmt: &Stmt,
     params: &[String],

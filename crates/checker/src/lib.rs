@@ -26,12 +26,14 @@
 //!   undeclared Forward (multipass) requirements, e.g. `max_element`'s.
 //!
 //! Modules: [`ir`] (the checked mini-language), [`parse`] (a line-oriented
-//! text front end for it), [`state`] (abstract domains), [`mod@analyze`] (the
-//! interpreter and algorithm entry/exit handlers), [`corpus`] (the bug
-//! corpus, including Fig. 4), [`multipass`] (semantic-archetype checking).
-
+//! text front end for it), [`sym`] (abstract domains and their symbolic
+//! form), [`mod@analyze`] (diagnostics and the [`fn@analyze`] entry point),
+//! [`interp`] (the abstract interpreter and algorithm entry/exit
+//! handlers), [`corpus`] (the bug corpus, including Fig. 4),
+//! [`multipass`] (semantic-archetype checking).
 //!
-//! The analysis is **interprocedural**: programs may define `fn
+//! There is one analysis engine, and it is **interprocedural**: a flat
+//! program is a zero-parameter `main`, and programs may define `fn
 //! name(params) { ... }` and call them with `invoke name(args)`
 //! (containers by reference, iterators by value). [`callgraph`]
 //! discovers every `(function, calling context)` instance and condenses
@@ -48,7 +50,6 @@ pub mod interp;
 pub mod ir;
 pub mod multipass;
 pub mod parse;
-pub mod state;
 pub mod summary;
 pub mod sym;
 

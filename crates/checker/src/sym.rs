@@ -1,4 +1,9 @@
-//! Symbolic lattice values for function summaries.
+//! The checker's abstract domains and the symbolic values that carry
+//! them through function summaries.
+//!
+//! The concrete lattices — iterator [`Validity`], end-position knowledge
+//! ([`AtEnd`]) and [`Sortedness`] — are tiny and finite, so branch joins
+//! and loop fixpoints settle in a handful of passes.
 //!
 //! A function body is analyzed once per *calling context* (parameter
 //! kinds + aliasing), not once per call site — so the analysis cannot
@@ -18,7 +23,39 @@
 //! `Const(TOP)`, which is sound (TOP over-approximates every value).
 
 use crate::ir::ContainerKind;
-use crate::state::{AtEnd, Sortedness, Validity};
+
+/// Is the iterator usable at all?
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Validity {
+    /// Definitely valid.
+    Valid,
+    /// Valid on some paths, singular on others.
+    MaybeSingular,
+    /// Definitely singular (invalidated or never initialized).
+    Singular,
+}
+
+/// Does the iterator sit at the past-the-end position?
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum AtEnd {
+    /// Definitely dereferenceable (not at end).
+    No,
+    /// Unknown.
+    Maybe,
+    /// Definitely at the end.
+    Yes,
+}
+
+/// The sortedness property installed/consumed by the algorithm handlers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Sortedness {
+    /// Known sorted (post-`sort`).
+    Sorted,
+    /// Known modified since any sort.
+    Unsorted,
+    /// No information.
+    Unknown,
+}
 
 /// A finite join-semilattice with a greatest element.
 pub trait SemiLattice: Copy + Eq + std::hash::Hash + std::fmt::Debug {
@@ -35,7 +72,11 @@ impl SemiLattice for Validity {
     const TOP: Self = Validity::MaybeSingular;
     const BOTTOM: Option<Self> = None;
     fn join(self, other: Self) -> Self {
-        Validity::join(self, other)
+        if self == other {
+            self
+        } else {
+            Self::TOP
+        }
     }
 }
 
@@ -43,7 +84,11 @@ impl SemiLattice for AtEnd {
     const TOP: Self = AtEnd::Maybe;
     const BOTTOM: Option<Self> = None;
     fn join(self, other: Self) -> Self {
-        AtEnd::join(self, other)
+        if self == other {
+            self
+        } else {
+            Self::TOP
+        }
     }
 }
 
@@ -51,7 +96,11 @@ impl SemiLattice for Sortedness {
     const TOP: Self = Sortedness::Unknown;
     const BOTTOM: Option<Self> = None;
     fn join(self, other: Self) -> Self {
-        Sortedness::join(self, other)
+        if self == other {
+            self
+        } else {
+            Self::TOP
+        }
     }
 }
 
@@ -185,8 +234,8 @@ impl<T: SemiLattice> Sym<T> {
     }
 }
 
-/// Kind-aware symbolic encoding of the seed's "begin() of a maybe-empty
-/// container is maybe-at-end" rule: exact when emptiness is concrete,
+/// Symbolic encoding of the "begin() of a maybe-empty container is
+/// maybe-at-end" rule: exact when emptiness is concrete,
 /// conservative (`Maybe`) when it depends on the caller.
 pub fn at_end_of_begin(maybe_empty: Sym<bool>) -> Sym<AtEnd> {
     match maybe_empty.as_const() {
@@ -195,7 +244,7 @@ pub fn at_end_of_begin(maybe_empty: Sym<bool>) -> Sym<AtEnd> {
     }
 }
 
-/// The seed's `Advance` transfer on end-position knowledge: `Yes` stays
+/// The `Advance` transfer on end-position knowledge: `Yes` stays
 /// `Yes`, everything else becomes `Maybe`. Conservative (`Maybe`) when
 /// symbolic — `Maybe` is the lattice top, so this over-approximates.
 pub fn at_end_after_advance(at_end: Sym<AtEnd>) -> Sym<AtEnd> {
@@ -214,6 +263,30 @@ pub fn kind_invalidates_all(kind: ContainerKind) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validity_join_is_commutative_and_absorbing() {
+        use Validity::*;
+        assert_eq!(Valid.join(Valid), Valid);
+        assert_eq!(Valid.join(Singular), MaybeSingular);
+        assert_eq!(Singular.join(Valid), MaybeSingular);
+        assert_eq!(Singular.join(Singular), Singular);
+        assert_eq!(MaybeSingular.join(Valid), MaybeSingular);
+    }
+
+    #[test]
+    fn at_end_and_sortedness_joins() {
+        assert_eq!(AtEnd::No.join(AtEnd::Yes), AtEnd::Maybe);
+        assert_eq!(AtEnd::Maybe.join(AtEnd::Maybe), AtEnd::Maybe);
+        assert_eq!(
+            Sortedness::Sorted.join(Sortedness::Unsorted),
+            Sortedness::Unknown
+        );
+        assert_eq!(
+            Sortedness::Sorted.join(Sortedness::Sorted),
+            Sortedness::Sorted
+        );
+    }
 
     #[test]
     fn join_is_commutative_on_samples() {
