@@ -16,7 +16,8 @@
 //! and reactor front ends because both funnel through the same
 //! submission path.
 
-use gp_core::json::Json;
+use crate::codec::{first, Decoded};
+use gp_core::json::{write_num, write_str, Reader};
 
 /// The `stats` request: export the telemetry registry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,20 +28,23 @@ pub struct StatsRequest {
 }
 
 impl StatsRequest {
-    /// Canonical `req` object.
-    pub fn to_json(&self) -> Json {
-        Json::obj().field("prefix", self.prefix.as_str())
+    /// Write the canonical `req` object.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"prefix\":");
+        write_str(out, &self.prefix);
+        out.push('}');
     }
 
-    /// Decode from a `req` object (a missing prefix means "everything").
-    pub fn from_json(j: &Json) -> Result<StatsRequest, String> {
-        Ok(StatsRequest {
-            prefix: j
-                .get("prefix")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-        })
+    /// Decode a `req` object (a missing prefix means "everything").
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<StatsRequest> {
+        let mut prefix = None;
+        r.object(|r, key| match &*key {
+            "prefix" => first(&mut prefix, r, Reader::opt_str),
+            _ => r.skip(),
+        })?;
+        Ok(Ok(StatsRequest {
+            prefix: prefix.flatten().unwrap_or_default().into_owned(),
+        }))
     }
 }
 
@@ -53,18 +57,23 @@ pub struct TraceQuery {
 }
 
 impl TraceQuery {
-    /// Canonical `req` object.
-    pub fn to_json(&self) -> Json {
-        Json::obj().field("id", self.id)
+    /// Write the canonical `req` object.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"id\":");
+        write_num(out, self.id as f64);
+        out.push('}');
     }
 
-    /// Decode from a `req` object.
-    pub fn from_json(j: &Json) -> Result<TraceQuery, String> {
-        Ok(TraceQuery {
-            id: j
-                .get("id")
-                .and_then(Json::as_f64)
-                .ok_or("trace: missing numeric field 'id'")? as u64,
+    /// Decode a `req` object.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<TraceQuery> {
+        let mut id = None;
+        r.object(|r, key| match &*key {
+            "id" => first(&mut id, r, Reader::opt_num),
+            _ => r.skip(),
+        })?;
+        Ok(match id.flatten() {
+            Some(id) => Ok(TraceQuery { id: id as u64 }),
+            None => Err("trace: missing numeric field 'id'".into()),
         })
     }
 }
@@ -113,23 +122,31 @@ pub fn stats_payload(prefix: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode_str;
+    use gp_core::json::Json;
 
     #[test]
     fn stats_request_round_trips_and_defaults_prefix() {
         let r = StatsRequest {
             prefix: "service.".into(),
         };
-        let back = StatsRequest::from_json(&r.to_json()).unwrap();
+        let mut text = String::new();
+        r.write_json(&mut text);
+        assert_eq!(text, r#"{"prefix":"service."}"#);
+        let back = decode_str(&text, StatsRequest::decode).unwrap();
         assert_eq!(back, r);
-        let empty = StatsRequest::from_json(&Json::parse("{}").unwrap()).unwrap();
+        let empty = decode_str("{}", StatsRequest::decode).unwrap();
         assert_eq!(empty.prefix, "");
     }
 
     #[test]
     fn trace_query_round_trips_and_requires_id() {
         let q = TraceQuery { id: 42 };
-        assert_eq!(TraceQuery::from_json(&q.to_json()).unwrap(), q);
-        assert!(TraceQuery::from_json(&Json::parse("{}").unwrap()).is_err());
+        let mut text = String::new();
+        q.write_json(&mut text);
+        assert_eq!(decode_str(&text, TraceQuery::decode).unwrap(), q);
+        assert!(decode_str("{}", TraceQuery::decode).is_err());
+        assert!(decode_str(r#"{"id":"42"}"#, TraceQuery::decode).is_err());
     }
 
     #[test]

@@ -66,6 +66,7 @@
 //! front end, even while draining.
 
 pub mod cache;
+mod codec;
 pub mod control;
 pub mod introspect;
 pub mod lint;
@@ -87,7 +88,7 @@ pub use optimize::{CostSpec, OptimizeRequest};
 pub use reactor::{Reactor, ReactorConfig, ReactorHandle, SubmitRequest};
 pub use request::{
     decode_request, decode_request_traced, decode_response, encode_request, encode_request_traced,
-    encode_response, Request, Response,
+    encode_response, Keyed, Request, RequestKey, Response,
 };
 pub use server::{Service, ServiceConfig, ServiceStats, Ticket};
 pub use shard::{FailoverTarget, HashRing, ShardRouter, ShardRouterConfig};

@@ -18,9 +18,10 @@
 //! requests. SCCs at equal call-graph height run on the gp-parallel
 //! global pool.
 
+use crate::codec::{first, Decoded};
 use gp_checker::analyze::Severity;
 use gp_checker::CheckConfig;
-use gp_core::json::Json;
+use gp_core::json::{write_str, Json, Reader};
 
 /// Lint a program against library semantics.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,26 +41,31 @@ fn severity_str(s: Severity) -> &'static str {
 }
 
 impl LintRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("name", self.name.as_str())
-            .field("program", self.program.as_str())
+    /// Write the canonical JSON form (field order fixed — cache keys
+    /// depend on it).
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        write_str(out, &self.name);
+        out.push_str(",\"program\":");
+        write_str(out, &self.program);
+        out.push('}');
     }
 
-    /// Decode from the `req` object of a request envelope.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let program = j
-            .get("program")
-            .and_then(Json::as_str)
-            .ok_or("lint: missing string field 'program'")?
-            .to_string();
-        let name = j
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or("request")
-            .to_string();
-        Ok(LintRequest { name, program })
+    /// Decode the `req` object of a request envelope.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        let (mut name, mut program) = (None, None);
+        r.object(|r, key| match &*key {
+            "name" => first(&mut name, r, Reader::opt_str),
+            "program" => first(&mut program, r, Reader::opt_str),
+            _ => r.skip(),
+        })?;
+        Ok(match program.flatten() {
+            None => Err("lint: missing string field 'program'".into()),
+            Some(program) => Ok(LintRequest {
+                name: name.flatten().map_or("request".into(), String::from),
+                program: program.into_owned(),
+            }),
+        })
     }
 }
 
@@ -217,7 +223,12 @@ invoke f(V)
             name: "fig4".into(),
             program: FIG4.into(),
         };
-        let back = LintRequest::from_json(&req.to_json()).unwrap();
+        let text = crate::codec::written(|out| req.write_json(out));
+        let back = crate::codec::decode_str(&text, LintRequest::decode).unwrap();
         assert_eq!(back, req);
+        // A missing name defaults, a non-string program is missing.
+        let anon = crate::codec::decode_str(r#"{"program":"x"}"#, LintRequest::decode);
+        assert_eq!(anon.unwrap().name, "request");
+        assert!(crate::codec::decode_str(r#"{"program":1}"#, LintRequest::decode).is_err());
     }
 }

@@ -22,8 +22,9 @@
 //! `budget-hit` flag in the response stats, mirroring
 //! `gp_rewrite::egraph::OptimizeStats`.
 
-use crate::simplify::{expr_from_json, expr_to_json, EnvSpec};
-use gp_core::json::Json;
+use crate::codec::{first, Decoded};
+use crate::simplify::{decode_expr, write_counts, write_expr, write_rewrite_head, EnvSpec};
+use gp_core::json::{write_num, write_str, Json, Reader};
 use gp_rewrite::egraph::{ComplexityCost, CostModel, EGraphConfig, MeasuredCost};
 use gp_rewrite::{Expr, Simplifier};
 
@@ -92,48 +93,57 @@ pub struct OptimizeRequest {
 }
 
 impl OptimizeRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it;
-    /// unset budgets are omitted, not rendered as null).
-    pub fn to_json(&self) -> Json {
-        let j = Json::obj()
-            .field("expr", expr_to_json(&self.expr))
-            .field("env", self.env.to_json())
-            .field("cost-model", self.cost.name());
-        let j = match self.max_nodes {
-            Some(n) => j.field("max-nodes", n),
-            None => j,
-        };
-        match self.max_iters {
-            Some(n) => j.field("max-iters", n),
-            None => j,
+    /// Write the canonical JSON form (field order fixed — cache keys
+    /// depend on it; unset budgets are omitted, not rendered as null).
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"expr\":");
+        write_expr(out, &self.expr);
+        out.push_str(",\"env\":");
+        self.env.write_json(out);
+        out.push_str(",\"cost-model\":");
+        write_str(out, self.cost.name());
+        if let Some(n) = self.max_nodes {
+            out.push_str(",\"max-nodes\":");
+            write_num(out, n as f64);
         }
+        if let Some(n) = self.max_iters {
+            out.push_str(",\"max-iters\":");
+            write_num(out, n as f64);
+        }
+        out.push('}');
     }
 
-    /// Decode and validate from the `req` object. Missing `env` defaults
-    /// to standard, missing `cost-model` to `"annotation"`; budgets must
-    /// be positive integers within the service ceilings.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let expr = expr_from_json(j.get("expr").ok_or("optimize: missing 'expr'")?)?;
-        let env = match j.get("env") {
-            None => EnvSpec::Standard,
-            Some(e) => EnvSpec::from_json(e)?,
-        };
-        let cost = match j.get("cost-model") {
-            None => CostSpec::Annotation,
-            Some(c) => CostSpec::from_name(
-                c.as_str()
-                    .ok_or("optimize: 'cost-model' must be a string")?,
-            )?,
-        };
-        let max_nodes = budget_field(j, "max-nodes", MAX_NODE_BUDGET)?;
-        let max_iters = budget_field(j, "max-iters", MAX_ITER_BUDGET)?;
-        Ok(OptimizeRequest {
-            expr,
-            env,
-            cost,
-            max_nodes,
-            max_iters,
-        })
+    /// Decode and validate the `req` object. Missing `env` defaults to
+    /// standard, missing `cost-model` to `"annotation"`; budgets must be
+    /// positive integers within the service ceilings.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        let (mut expr, mut env, mut cost) = (None, None, None);
+        let (mut max_nodes, mut max_iters) = (None, None);
+        r.object(|r, key| match &*key {
+            "expr" => first(&mut expr, r, decode_expr),
+            "env" => first(&mut env, r, EnvSpec::decode),
+            "cost-model" => first(&mut cost, r, Reader::opt_str),
+            "max-nodes" => first(&mut max_nodes, r, Reader::opt_num),
+            "max-iters" => first(&mut max_iters, r, Reader::opt_num),
+            _ => r.skip(),
+        })?;
+        Ok((|| {
+            let expr = expr.ok_or("optimize: missing 'expr'")??;
+            let env = env.unwrap_or(Ok(EnvSpec::Standard))?;
+            let cost = match cost {
+                None => CostSpec::Annotation,
+                Some(c) => {
+                    CostSpec::from_name(&c.ok_or("optimize: 'cost-model' must be a string")?)?
+                }
+            };
+            Ok(OptimizeRequest {
+                expr,
+                env,
+                cost,
+                max_nodes: budget(max_nodes, "max-nodes", MAX_NODE_BUDGET)?,
+                max_iters: budget(max_iters, "max-iters", MAX_ITER_BUDGET)?,
+            })
+        })())
     }
 
     /// The saturation budgets this request asks for.
@@ -147,14 +157,13 @@ impl OptimizeRequest {
     }
 }
 
-/// Parse one optional budget field: a positive integer `<= ceiling`.
-fn budget_field(j: &Json, name: &str, ceiling: u64) -> Result<Option<u64>, String> {
-    let Some(v) = j.get(name) else {
+/// Validate one optional budget field (`Some(None)`: present but not a
+/// number): a positive integer `<= ceiling`.
+fn budget(field: Option<Option<f64>>, name: &str, ceiling: u64) -> Result<Option<u64>, String> {
+    let Some(v) = field else {
         return Ok(None);
     };
-    let f = v
-        .as_f64()
-        .ok_or_else(|| format!("optimize: '{name}' must be a number"))?;
+    let f = v.ok_or_else(|| format!("optimize: '{name}' must be a number"))?;
     if f.fract() != 0.0 || f < 1.0 || f > ceiling as f64 {
         return Err(format!(
             "optimize: '{name}' must be an integer in 1..={ceiling}"
@@ -165,38 +174,48 @@ fn budget_field(j: &Json, name: &str, ceiling: u64) -> Result<Option<u64>, Strin
 
 /// Run one optimize request: superoptimizer rule set (standard plus
 /// exploration equalities) over the requested environment, bounded
-/// saturation, cost-based extraction.
+/// saturation, cost-based extraction. The payload is written directly.
 pub fn handle(req: &OptimizeRequest) -> Result<Json, String> {
     let simplifier = Simplifier::superopt(req.env.build());
     let cost = req.cost.build();
     let mut session = simplifier.session();
     let (out, stats) = session.optimize(&req.expr, &req.config(), cost.as_ref());
-    let mut apps = Json::obj();
-    for (rule, count) in &stats.applications {
-        apps = apps.field(rule, *count);
+    let mut s = String::new();
+    write_rewrite_head(&mut s, &out);
+    for (i, (name, n)) in [
+        ("classes", stats.classes),
+        ("nodes", stats.nodes),
+        ("unions", stats.unions),
+        ("iters", stats.iters),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        s.push_str(if i == 0 { "{\"" } else { ",\"" });
+        s.push_str(name);
+        s.push_str("\":");
+        write_num(&mut s, n as f64);
     }
-    Ok(Json::obj()
-        .field("expr", expr_to_json(&out))
-        .field("display", out.to_string())
-        .field(
-            "stats",
-            Json::obj()
-                .field("classes", stats.classes)
-                .field("nodes", stats.nodes)
-                .field("unions", stats.unions)
-                .field("iters", stats.iters)
-                .field("saturated", stats.saturated)
-                .field("budget-hit", stats.budget_hit)
-                .field("cost-before", stats.cost_before)
-                .field("cost-after", stats.cost_after)
-                .field("extracted-size", stats.extracted_size)
-                .field("applications", apps),
-        ))
+    s.push_str(",\"saturated\":");
+    s.push_str(if stats.saturated { "true" } else { "false" });
+    s.push_str(",\"budget-hit\":");
+    s.push_str(if stats.budget_hit { "true" } else { "false" });
+    s.push_str(",\"cost-before\":");
+    write_num(&mut s, stats.cost_before as f64);
+    s.push_str(",\"cost-after\":");
+    write_num(&mut s, stats.cost_after as f64);
+    s.push_str(",\"extracted-size\":");
+    write_num(&mut s, stats.extracted_size as f64);
+    s.push_str(",\"applications\":");
+    write_counts(&mut s, &stats.applications);
+    s.push_str("}}");
+    Ok(Json::Raw(s))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode_str, written};
     use gp_rewrite::{BinOp, Type, UnOp};
 
     fn cancellation() -> Expr {
@@ -222,12 +241,11 @@ mod tests {
     #[test]
     fn json_round_trips_canonically() {
         let req = sample();
-        let j = req.to_json();
-        let back = OptimizeRequest::from_json(&j).unwrap();
+        let rendered = written(|out| req.write_json(out));
+        let back = decode_str(&rendered, OptimizeRequest::decode).unwrap();
         assert_eq!(back, req);
-        assert_eq!(back.to_json().render(), j.render());
+        assert_eq!(written(|out| back.write_json(out)), rendered);
         // Kebab-case on the wire, and unset budgets stay off it.
-        let rendered = j.render();
         assert!(rendered.contains("\"cost-model\":\"measured\""));
         assert!(rendered.contains("\"max-nodes\":5000"));
         assert!(!rendered.contains("max-iters"));
@@ -235,8 +253,7 @@ mod tests {
 
     #[test]
     fn defaults_fill_missing_optional_fields() {
-        let j = Json::parse(r#"{"expr":{"var":["x","int"]}}"#).unwrap();
-        let req = OptimizeRequest::from_json(&j).unwrap();
+        let req = decode_str(r#"{"expr":{"var":["x","int"]}}"#, OptimizeRequest::decode).unwrap();
         assert_eq!(req.env, EnvSpec::Standard);
         assert_eq!(req.cost, CostSpec::Annotation);
         assert_eq!(req.config().max_iters, EGraphConfig::default().max_iters);
@@ -255,9 +272,8 @@ mod tests {
             r#"{"expr":{"var":["x","int"]},"max-iters":"lots"}"#,
             r#"{"expr":{"var":["x","wibble"]}}"#,
         ] {
-            let j = Json::parse(bad).unwrap();
             assert!(
-                OptimizeRequest::from_json(&j).is_err(),
+                decode_str(bad, OptimizeRequest::decode).is_err(),
                 "accepted malformed optimize request {bad}"
             );
         }

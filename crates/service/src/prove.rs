@@ -8,7 +8,8 @@
 //! plus which theorem broke and why, so a client probing a bogus model
 //! still gets a cacheable, well-formed answer.
 
-use gp_core::json::Json;
+use crate::codec::{first, Decoded};
+use gp_core::json::{write_str, Json, Reader};
 use gp_proofs::logic::SymbolMap;
 use gp_proofs::theories::{group, monoid, order, ring, Theory};
 
@@ -41,48 +42,67 @@ pub fn lookup_theory(name: &str) -> Result<Theory, String> {
 }
 
 impl ProveRequest {
-    /// Canonical JSON form (field order fixed, model sorted — cache keys
-    /// depend on it).
-    pub fn to_json(&self) -> Json {
-        let mut model = self.model.clone();
+    /// Write the canonical JSON form (field order fixed, model sorted —
+    /// cache keys depend on it).
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"theory\":");
+        write_str(out, &self.theory);
+        out.push_str(",\"instance\":");
+        write_str(out, &self.instance);
+        out.push_str(",\"model\":{");
+        let mut model: Vec<&(String, String)> = self.model.iter().collect();
         model.sort();
-        let mut m = Json::obj();
-        for (from, to) in &model {
-            m = m.field(from, to.as_str());
+        for (i, (from, to)) in model.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(out, from);
+            out.push(':');
+            write_str(out, to);
         }
-        Json::obj()
-            .field("theory", self.theory.as_str())
-            .field("instance", self.instance.as_str())
-            .field("model", m)
+        out.push_str("}}");
     }
 
-    /// Decode from the `req` object of a request envelope.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let theory = j
-            .get("theory")
-            .and_then(Json::as_str)
-            .ok_or("prove: missing string field 'theory'")?
-            .to_string();
-        let instance = j
-            .get("instance")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let mut model = Vec::new();
-        if let Some(Json::Obj(fields)) = j.get("model") {
-            for (from, to) in fields {
-                let to = to
-                    .as_str()
-                    .ok_or_else(|| format!("prove: model entry {from:?} must map to a string"))?;
-                model.push((from.clone(), to.to_string()));
-            }
-        }
-        model.sort();
-        Ok(ProveRequest {
-            theory,
-            instance,
-            model,
-        })
+    /// Decode the `req` object of a request envelope. A `model` that is
+    /// not an object reads as empty.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        let (mut theory, mut instance, mut model) = (None, None, None);
+        r.object(|r, key| match &*key {
+            "theory" => first(&mut theory, r, Reader::opt_str),
+            "instance" => first(&mut instance, r, Reader::opt_str),
+            "model" => first(&mut model, r, |r| {
+                let mut entries = Ok(Vec::new());
+                r.object(|r, from| {
+                    let to = r.opt_str()?;
+                    if let Ok(list) = &mut entries {
+                        match to {
+                            Some(to) => list.push((from.into_owned(), to.into_owned())),
+                            None => {
+                                entries =
+                                    Err(format!("prove: model entry {from:?} must map to a string"))
+                            }
+                        }
+                    }
+                    Ok(())
+                })?;
+                Ok(entries)
+            }),
+            _ => r.skip(),
+        })?;
+        Ok((|| {
+            let theory = theory
+                .flatten()
+                .ok_or("prove: missing string field 'theory'")?
+                .into_owned();
+            let instance = instance.flatten().unwrap_or_default().into_owned();
+            let mut model = model.unwrap_or(Ok(Vec::new()))?;
+            model.sort();
+            Ok(ProveRequest {
+                theory,
+                instance,
+                model,
+            })
+        })())
     }
 }
 
@@ -193,8 +213,10 @@ mod tests {
             instance: "i".into(),
             model: vec![("e".into(), "zero".into()), ("op".into(), "add".into())],
         };
-        assert_eq!(a.to_json().render(), b.to_json().render());
-        let back = ProveRequest::from_json(&Json::parse(&a.to_json().render()).unwrap()).unwrap();
-        assert_eq!(back.to_json().render(), a.to_json().render());
+        let text = |r: &ProveRequest| crate::codec::written(|out| r.write_json(out));
+        assert_eq!(text(&a), text(&b));
+        let back = crate::codec::decode_str(&text(&a), ProveRequest::decode).unwrap();
+        assert_eq!(text(&back), text(&a));
+        assert_eq!(back.model, b.model, "decoding sorts the model");
     }
 }

@@ -59,19 +59,20 @@ use std::thread::JoinHandle;
 /// `Overloaded` through the callback instead of back-pressuring the
 /// reactor thread.
 pub trait SubmitRequest: Send + Sync + 'static {
-    /// Submit one decoded request with an optional trace handle (the
+    /// Submit one decoded request, keyed once by its decoder (see
+    /// [`crate::request::Keyed`]), with an optional trace handle (the
     /// sampled context plus the caller's span to parent under); `reply`
     /// is invoked exactly once, on whatever thread completes the request.
     fn submit_traced(
         &self,
-        request: crate::request::Request,
+        request: crate::request::Keyed,
         trace: Option<gp_telemetry::trace::TraceHandle>,
         reply: ReplyFn,
     );
 
     /// Submit one untraced request — identical to passing `None`.
     fn submit_with(&self, request: crate::request::Request, reply: ReplyFn) {
-        self.submit_traced(request, None, reply);
+        self.submit_traced(request.into(), None, reply);
     }
 }
 
@@ -317,7 +318,20 @@ pub use linux_impl::{Reactor, ReactorHandle};
 #[cfg(target_os = "linux")]
 mod linux_impl {
     use super::*;
+    use std::sync::OnceLock;
     use sys::{Epoll, EpollEvent, WakePipe};
+
+    /// `service.reactor.pipeline.depth`, recorded once per frame.
+    fn pipeline_depth() -> &'static gp_telemetry::Histogram {
+        static HIST: OnceLock<&'static gp_telemetry::Histogram> = OnceLock::new();
+        HIST.get_or_init(|| gp_telemetry::histogram("service.reactor.pipeline.depth"))
+    }
+
+    /// `service.reactor.wakeups`, bumped once per event-loop wakeup.
+    fn wakeups() -> &'static gp_telemetry::Counter {
+        static COUNTER: OnceLock<&'static gp_telemetry::Counter> = OnceLock::new();
+        COUNTER.get_or_init(|| gp_telemetry::counter("service.reactor.wakeups"))
+    }
 
     /// One completed request on its way back to a connection.
     struct Completion {
@@ -482,7 +496,7 @@ mod linux_impl {
             let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
             while !self.stop.load(Ordering::Acquire) {
                 let n = self.epoll.wait(&mut events, -1);
-                gp_telemetry::counter("service.reactor.wakeups").incr();
+                wakeups().incr();
                 let mut any_work = false;
                 for ev in events.iter().take(n) {
                     let (data, bits) = (ev.data, ev.events);
@@ -676,8 +690,7 @@ mod linux_impl {
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
                 conn.in_flight += 1;
-                gp_telemetry::histogram("service.reactor.pipeline.depth")
-                    .record(conn.in_flight as u64);
+                pipeline_depth().record(conn.in_flight as u64);
                 let gen = self.slots[token as usize].gen;
                 match decode_request_traced(&frame) {
                     Ok((id, request, wire_trace)) => {
@@ -702,7 +715,7 @@ mod linux_impl {
                         };
                         let completions = Arc::clone(&self.completions);
                         self.submit.submit_traced(
-                            request,
+                            request.into(),
                             handle,
                             Box::new(move |resp| {
                                 drop(root);

@@ -9,12 +9,19 @@
 //! canonical form, so two clients asking the same question share a cache
 //! entry.
 //!
-//! Every `to_json` emits fields in a fixed order and every decoder
-//! re-canonicalizes on entry, so `canonical()` is a stable cache key for
-//! semantically equal requests however the client ordered its fields.
+//! Every request kind decodes straight from the frame's bytes into its
+//! struct and writes its canonical form straight into one `String`
+//! (no `Json` tree on the way). Writers emit fields in a fixed order and
+//! decoders re-canonicalize on entry, so `canonical()` is a stable cache
+//! key for semantically equal requests however the client ordered its
+//! fields. [`Request::key`] computes that form, its hash and the
+//! `Simplify` environment fingerprint once; the serving core passes the
+//! [`Keyed`] result along instead of recomputing any of them.
 
+use crate::codec::{first, Decoded};
 use crate::{introspect, lint, optimize, prove, select, simplify};
-use gp_core::json::Json;
+use gp_core::json::{write_num, write_str, Json, Reader};
+use std::ops::Range;
 
 /// One query against the library stack.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,51 +66,87 @@ pub enum Response {
 }
 
 impl Request {
+    /// Every request kind's wire name, in [`Request::kind_index`] order.
+    pub const KINDS: [&'static str; 7] = [
+        "lint", "simplify", "optimize", "prove", "select", "stats", "trace",
+    ];
+
     /// The wire name of this request's kind (also its telemetry label).
     pub fn kind(&self) -> &'static str {
+        Self::KINDS[self.kind_index()]
+    }
+
+    /// This request's kind as an index into [`Request::KINDS`], for
+    /// per-kind tables resolved once.
+    pub fn kind_index(&self) -> usize {
         match self {
-            Request::Lint(_) => "lint",
-            Request::Simplify(_) => "simplify",
-            Request::Optimize(_) => "optimize",
-            Request::Prove(_) => "prove",
-            Request::Select(_) => "select",
-            Request::Stats(_) => "stats",
-            Request::Trace(_) => "trace",
+            Request::Lint(_) => 0,
+            Request::Simplify(_) => 1,
+            Request::Optimize(_) => 2,
+            Request::Prove(_) => 3,
+            Request::Select(_) => 4,
+            Request::Stats(_) => 5,
+            Request::Trace(_) => 6,
         }
     }
 
-    /// The `req` object in canonical field order.
+    /// Write the `req` object in canonical field order. For `Simplify`,
+    /// returns where the environment landed in `out`.
+    pub(crate) fn write_json(&self, out: &mut String) -> Option<Range<usize>> {
+        match self {
+            Request::Lint(r) => r.write_json(out),
+            Request::Simplify(r) => return Some(r.write_json(out)),
+            Request::Optimize(r) => r.write_json(out),
+            Request::Prove(r) => r.write_json(out),
+            Request::Select(r) => r.write_json(out),
+            Request::Stats(r) => r.write_json(out),
+            Request::Trace(r) => r.write_json(out),
+        }
+        None
+    }
+
+    /// The `req` object in canonical field order (pre-rendered).
     pub fn to_json(&self) -> Json {
-        match self {
-            Request::Lint(r) => r.to_json(),
-            Request::Simplify(r) => r.to_json(),
-            Request::Optimize(r) => r.to_json(),
-            Request::Prove(r) => r.to_json(),
-            Request::Select(r) => r.to_json(),
-            Request::Stats(r) => r.to_json(),
-            Request::Trace(r) => r.to_json(),
-        }
-    }
-
-    /// Decode from `kind` + `req` object.
-    pub fn from_kind_json(kind: &str, req: &Json) -> Result<Request, String> {
-        Ok(match kind {
-            "lint" => Request::Lint(lint::LintRequest::from_json(req)?),
-            "simplify" => Request::Simplify(simplify::SimplifyRequest::from_json(req)?),
-            "optimize" => Request::Optimize(optimize::OptimizeRequest::from_json(req)?),
-            "prove" => Request::Prove(prove::ProveRequest::from_json(req)?),
-            "select" => Request::Select(select::SelectRequest::from_json(req)?),
-            "stats" => Request::Stats(introspect::StatsRequest::from_json(req)?),
-            "trace" => Request::Trace(introspect::TraceQuery::from_json(req)?),
-            other => return Err(format!("unknown request kind {other:?}")),
-        })
+        let mut out = String::new();
+        self.write_json(&mut out);
+        Json::Raw(out)
     }
 
     /// Canonical form: kind + canonical payload rendering. Equal for
     /// semantically equal requests; the cache key is its hash (with the
     /// full string kept for collision checks).
     pub fn canonical(&self) -> String {
-        format!("{}:{}", self.kind(), self.to_json().render())
+        self.write_canonical().0
+    }
+
+    fn write_canonical(&self) -> (String, Option<Range<usize>>) {
+        let mut out = String::with_capacity(256);
+        out.push_str(self.kind());
+        out.push(':');
+        let env = self.write_json(&mut out);
+        (out, env)
+    }
+
+    /// The canonical form with its hash and, for `Simplify`, the
+    /// environment fingerprint — everything the cache, the batcher and
+    /// the router key on, computed in one pass.
+    pub fn key(&self) -> RequestKey {
+        let (canonical, env) = self.write_canonical();
+        RequestKey {
+            hash: fnv1a(&canonical),
+            batch: env.map(|env| fnv1a(&canonical[env])),
+            canonical,
+        }
+    }
+
+    /// [`RequestKey::route`] without the rest of the key: `Simplify`
+    /// writes only its environment. For callers holding a bare request;
+    /// the serving path routes on the key it already has.
+    pub fn route_key(&self) -> u64 {
+        match self {
+            Request::Simplify(r) => r.env.fingerprint(),
+            other => fnv1a(&other.canonical()),
+        }
     }
 
     /// Dispatch to the backing handler (a batch of one for `Simplify`;
@@ -120,6 +163,49 @@ impl Request {
             // core answers them at admission, so reaching this handler
             // means the request was dispatched outside a service.
             Request::Trace(_) => Err("trace lookup requires a running service".into()),
+        }
+    }
+}
+
+/// What the serving core keys a request on: its canonical form, that
+/// form's hash, and `Simplify`'s environment fingerprint. Computed once
+/// per request ([`Request::key`]); the router, the cache and the
+/// micro-batcher all read the same copy.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RequestKey {
+    /// `kind:` followed by the canonical `req` JSON.
+    pub canonical: String,
+    /// FNV-1a of `canonical`: the cache key.
+    pub hash: u64,
+    /// `Simplify` only: FNV-1a of the canonical environment JSON (equal
+    /// to [`EnvSpec::fingerprint`](crate::simplify::EnvSpec::fingerprint)),
+    /// the micro-batching key.
+    pub batch: Option<u64>,
+}
+
+impl RequestKey {
+    /// The routing key: the environment fingerprint for `Simplify`
+    /// (batch density), the canonical hash otherwise. Both are functions
+    /// of the canonical form, so the cache partition is deterministic.
+    pub fn route(&self) -> u64 {
+        self.batch.unwrap_or(self.hash)
+    }
+}
+
+/// A request together with its [`RequestKey`].
+#[derive(Clone, Debug)]
+pub struct Keyed {
+    /// The request.
+    pub request: Request,
+    /// Its key, computed once.
+    pub key: RequestKey,
+}
+
+impl From<Request> for Keyed {
+    fn from(request: Request) -> Keyed {
+        Keyed {
+            key: request.key(),
+            request,
         }
     }
 }
@@ -147,15 +233,19 @@ pub fn encode_request(id: u64, req: &Request) -> String {
 /// built from `kind` + `req` only), so a traced request shares cache
 /// entries — and response bytes — with its untraced twin.
 pub fn encode_request_traced(id: u64, req: &Request, trace: Option<u64>) -> String {
-    let j = Json::obj()
-        .field("id", id)
-        .field("kind", req.kind())
-        .field("req", req.to_json());
-    match trace {
-        Some(t) => j.field("trace", t),
-        None => j,
+    let mut out = String::with_capacity(256);
+    out.push_str("{\"id\":");
+    write_num(&mut out, id as f64);
+    out.push_str(",\"kind\":");
+    write_str(&mut out, req.kind());
+    out.push_str(",\"req\":");
+    req.write_json(&mut out);
+    if let Some(t) = trace {
+        out.push_str(",\"trace\":");
+        write_num(&mut out, t as f64);
     }
-    .render()
+    out.push('}');
+    out
 }
 
 /// Decode a request frame into `(id, request)`, dropping any trace field.
@@ -167,31 +257,99 @@ pub fn decode_request(frame: &str) -> Result<(u64, Request), String> {
 /// the optional wire trace id. Tracing is strictly opt-in: a frame
 /// without the field yields `None` and is processed identically to one
 /// decoded before tracing existed.
+///
+/// The request decodes straight from the frame's bytes into its struct.
+/// The first occurrence of an envelope field wins; unknown fields are
+/// validated and ignored; a malformed document (including one nested
+/// deeper than [`gp_core::json::MAX_JSON_DEPTH`]) is a `bad frame`
+/// error.
 pub fn decode_request_traced(frame: &str) -> Result<(u64, Request, Option<u64>), String> {
-    let j = Json::parse(frame).map_err(|e| format!("bad frame: {e}"))?;
-    let id = j.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let kind = j
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("bad frame: missing string field 'kind'")?;
-    let req = j.get("req").ok_or("bad frame: missing field 'req'")?;
-    let trace = j.get("trace").and_then(Json::as_f64).map(|t| t as u64);
-    Ok((id, Request::from_kind_json(kind, req)?, trace))
+    let mut r = Reader::new(frame);
+    let decoded = decode_envelope(&mut r).and_then(|d| r.finish().map(|()| d));
+    decoded.map_err(|e| format!("bad frame: {e}"))?
 }
 
-/// Encode a response frame.
-pub fn encode_response(id: u64, resp: &Response) -> String {
-    let j = Json::obj().field("id", id);
-    match resp {
-        // The payload is already rendered JSON; splice it verbatim so the
-        // bytes a cache hit returns are identical to the fresh ones.
-        Response::Ok { payload } => j
-            .field("status", "ok")
-            .field("resp", Json::Raw(payload.clone())),
-        Response::Error { message } => j.field("status", "error").field("error", message.as_str()),
-        Response::Overloaded => j.field("status", "overloaded"),
+fn decode_envelope(r: &mut Reader<'_>) -> Decoded<(u64, Request, Option<u64>)> {
+    /// The `req` field: decoded in place when the kind came first (the
+    /// order every encoder writes), else remembered by offset.
+    enum Req {
+        Decoded(Result<Request, String>),
+        At(usize),
     }
-    .render()
+    let (mut id, mut kind, mut trace, mut req) = (None, None, None, None);
+    r.object(|r, key| match &*key {
+        "id" => first(&mut id, r, Reader::opt_num),
+        "kind" => first(&mut kind, r, Reader::opt_str),
+        "trace" => first(&mut trace, r, Reader::opt_num),
+        "req" => first(&mut req, r, |r| match &kind {
+            Some(Some(kind)) => decode_kind(kind, r).map(Req::Decoded),
+            _ => {
+                r.skip_ws();
+                let at = r.pos();
+                r.skip().map(|()| Req::At(at))
+            }
+        }),
+        _ => r.skip(),
+    })?;
+    let id = id.flatten().map_or(0, |x| x as u64);
+    let trace = trace.flatten().map(|t| t as u64);
+    let Some(kind) = kind.flatten() else {
+        return Ok(Err("bad frame: missing string field 'kind'".into()));
+    };
+    let request = match req {
+        None => return Ok(Err("bad frame: missing field 'req'".into())),
+        Some(Req::Decoded(request)) => request,
+        // Already validated by the skip, so this pass cannot fail on
+        // syntax.
+        Some(Req::At(at)) => decode_kind(&kind, &mut Reader::new(&r.src()[at..]))?,
+    };
+    Ok(request.map(|request| (id, request, trace)))
+}
+
+/// Decode the `req` value of a `kind` request.
+fn decode_kind(kind: &str, r: &mut Reader<'_>) -> Decoded<Request> {
+    fn wrap<T>(d: Decoded<T>, f: impl FnOnce(T) -> Request) -> Decoded<Request> {
+        d.map(|d| d.map(f))
+    }
+    match kind {
+        "lint" => wrap(lint::LintRequest::decode(r), Request::Lint),
+        "simplify" => wrap(simplify::SimplifyRequest::decode(r), Request::Simplify),
+        "optimize" => wrap(optimize::OptimizeRequest::decode(r), Request::Optimize),
+        "prove" => wrap(prove::ProveRequest::decode(r), Request::Prove),
+        "select" => wrap(select::SelectRequest::decode(r), Request::Select),
+        "stats" => wrap(introspect::StatsRequest::decode(r), Request::Stats),
+        "trace" => wrap(introspect::TraceQuery::decode(r), Request::Trace),
+        other => r
+            .skip()
+            .map(|()| Err(format!("unknown request kind {other:?}"))),
+    }
+}
+
+/// Encode a response frame. An `Ok` payload is already rendered JSON and
+/// is spliced verbatim, so the bytes a cache hit returns are identical
+/// to the fresh ones.
+pub fn encode_response(id: u64, resp: &Response) -> String {
+    let payload_len = match resp {
+        Response::Ok { payload } => payload.len(),
+        Response::Error { message } => message.len(),
+        Response::Overloaded => 0,
+    };
+    let mut out = String::with_capacity(payload_len + 48);
+    out.push_str("{\"id\":");
+    write_num(&mut out, id as f64);
+    match resp {
+        Response::Ok { payload } => {
+            out.push_str(",\"status\":\"ok\",\"resp\":");
+            out.push_str(payload);
+        }
+        Response::Error { message } => {
+            out.push_str(",\"status\":\"error\",\"error\":");
+            write_str(&mut out, message);
+        }
+        Response::Overloaded => out.push_str(",\"status\":\"overloaded\""),
+    }
+    out.push('}');
+    out
 }
 
 /// Decode a response frame into `(id, response)`. The payload is
@@ -371,6 +529,49 @@ mod tests {
         ] {
             assert!(decode_request(frame).is_err(), "accepted {frame:?}");
         }
+    }
+
+    #[test]
+    fn one_key_serves_cache_batcher_and_router() {
+        for req in sample_requests() {
+            let key = req.key();
+            assert_eq!(key.canonical, req.canonical());
+            assert_eq!(key.hash, fnv1a(&key.canonical));
+            assert_eq!(key.route(), req.route_key(), "kind {}", req.kind());
+            assert_eq!(req.kind(), Request::KINDS[req.kind_index()]);
+            match &req {
+                Request::Simplify(r) => assert_eq!(key.batch, Some(r.env.fingerprint())),
+                _ => assert_eq!(key.batch, None),
+            }
+            // The canonical form's payload is the `req` object a frame
+            // carries, byte for byte.
+            let payload = &key.canonical[req.kind().len() + 1..];
+            assert_eq!(payload, req.to_json().render());
+            assert!(encode_request(1, &req).contains(payload));
+        }
+    }
+
+    #[test]
+    fn envelope_fields_keep_first_occurrence_and_any_order() {
+        let req = r#"{"name":"p","program":"container xs vector\n"}"#;
+        let frames = [
+            format!(r#"{{"id":3,"kind":"lint","req":{req}}}"#),
+            format!(r#"{{"req":{req},"kind":"lint","id":3}}"#),
+            format!(r#"{{"id":3,"id":"x","kind":"lint","kind":7,"req":{req},"req":5}}"#),
+            format!(r#" {{ "trace" : null , "kind" : "lint" , "req" : {req} , "id" : 3 }} "#),
+        ];
+        let want = decode_request(&frames[0]).unwrap();
+        for f in &frames {
+            assert_eq!(decode_request(f).unwrap(), want, "{f}");
+        }
+        // A non-string first `kind` is missing even if a later one is fine.
+        let e = decode_request(&format!(r#"{{"kind":1,"kind":"lint","req":{req}}}"#));
+        assert_eq!(e.unwrap_err(), "bad frame: missing string field 'kind'");
+        // Syntax errors anywhere win over request errors.
+        let e = decode_request(r#"{"kind":"nope","req":{},"x":[1,]}"#).unwrap_err();
+        assert!(e.starts_with("bad frame: json parse error"), "{e}");
+        let e = decode_request(r#"{"kind":"nope","req":{}}"#).unwrap_err();
+        assert_eq!(e, "unknown request kind \"nope\"");
     }
 
     #[test]

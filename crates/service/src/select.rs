@@ -7,11 +7,13 @@
 //! asymptotic message complexity, plus every applicable alternative so
 //! the client can second-guess the tie-break.
 
-use gp_core::json::Json;
+use crate::codec::{decode_tree, first, Decoded};
+use gp_core::json::{write_str, Json, Reader};
 use gp_taxonomy::records::applicable;
 use gp_taxonomy::{
     catalog, select_best, Fault, Problem, ProcessMgmt, Requirement, Sharing, Timing, Topology,
 };
+use std::borrow::Cow;
 
 /// Select the best distributed algorithm for a deployment.
 #[derive(Clone, Debug)]
@@ -24,7 +26,7 @@ pub struct SelectRequest {
 // equality, which is also what the response cache keys on.
 impl PartialEq for SelectRequest {
     fn eq(&self, other: &Self) -> bool {
-        self.to_json().render() == other.to_json().render()
+        self.canonical() == other.canonical()
     }
 }
 
@@ -147,42 +149,80 @@ fn process_mgmt_from(s: &str) -> Result<ProcessMgmt, String> {
 }
 
 impl SelectRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it).
-    pub fn to_json(&self) -> Json {
+    /// Write the canonical JSON form (field order fixed — cache keys
+    /// depend on it).
+    pub(crate) fn write_json(&self, out: &mut String) {
         let r = &self.requirement;
-        Json::obj()
-            .field("problem", problem_name(r.problem))
-            .field("topology", topology_name(r.topology))
-            .field("timing", timing_name(r.network_timing))
-            .field("fault", fault_name(r.fault_needed))
-            .field("sharing", sharing_name(r.sharing))
-            .field("process-mgmt", process_mgmt_name(r.process_mgmt))
+        for (i, (key, value)) in [
+            ("problem", problem_name(r.problem)),
+            ("topology", topology_name(r.topology)),
+            ("timing", timing_name(r.network_timing)),
+            ("fault", fault_name(r.fault_needed)),
+            ("sharing", sharing_name(r.sharing)),
+            ("process-mgmt", process_mgmt_name(r.process_mgmt)),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            out.push(if i == 0 { '{' } else { ',' });
+            write_str(out, key);
+            out.push(':');
+            write_str(out, value);
+        }
+        out.push('}');
     }
 
-    /// Decode from the `req` object of a request envelope. `problem`,
-    /// `topology`, and `timing` are required; the remaining dimensions
-    /// default as in [`Requirement::basic`].
+    /// Decode from a `req` tree (through the same streaming decoder the
+    /// wire uses). `problem`, `topology`, and `timing` are required; the
+    /// remaining dimensions default as in [`Requirement::basic`].
     pub fn from_json(j: &Json) -> Result<Self, String> {
-        let required = |key: &str| {
-            j.get(key)
-                .and_then(Json::as_str)
+        decode_tree(j, Self::decode)
+    }
+
+    /// Decode the `req` object of a request envelope.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        let (mut problem, mut topology, mut timing) = (None, None, None);
+        let (mut fault, mut sharing, mut mgmt) = (None, None, None);
+        r.object(|r, key| match &*key {
+            "problem" => first(&mut problem, r, Reader::opt_str),
+            "topology" => first(&mut topology, r, Reader::opt_str),
+            "timing" => first(&mut timing, r, Reader::opt_str),
+            "fault" => first(&mut fault, r, Reader::opt_str),
+            "sharing" => first(&mut sharing, r, Reader::opt_str),
+            "process-mgmt" => first(&mut mgmt, r, Reader::opt_str),
+            _ => r.skip(),
+        })?;
+        fn required<'a>(
+            field: Option<Option<Cow<'a, str>>>,
+            key: &str,
+        ) -> Result<Cow<'a, str>, String> {
+            field
+                .flatten()
                 .ok_or(format!("select: missing string field '{key}'"))
-        };
-        let mut req = Requirement::basic(
-            problem_from(required("problem")?)?,
-            topology_from(required("topology")?)?,
-            timing_from(required("timing")?)?,
-        );
-        if let Some(s) = j.get("fault").and_then(Json::as_str) {
-            req.fault_needed = fault_from(s)?;
         }
-        if let Some(s) = j.get("sharing").and_then(Json::as_str) {
-            req.sharing = sharing_from(s)?;
-        }
-        if let Some(s) = j.get("process-mgmt").and_then(Json::as_str) {
-            req.process_mgmt = process_mgmt_from(s)?;
-        }
-        Ok(SelectRequest { requirement: req })
+        Ok((|| {
+            let mut req = Requirement::basic(
+                problem_from(&required(problem, "problem")?)?,
+                topology_from(&required(topology, "topology")?)?,
+                timing_from(&required(timing, "timing")?)?,
+            );
+            if let Some(s) = fault.flatten() {
+                req.fault_needed = fault_from(&s)?;
+            }
+            if let Some(s) = sharing.flatten() {
+                req.sharing = sharing_from(&s)?;
+            }
+            if let Some(s) = mgmt.flatten() {
+                req.process_mgmt = process_mgmt_from(&s)?;
+            }
+            Ok(SelectRequest { requirement: req })
+        })())
+    }
+
+    fn canonical(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 }
 
@@ -305,11 +345,10 @@ mod tests {
         )
         .unwrap();
         let req = SelectRequest::from_json(&j).unwrap();
-        let back = SelectRequest::from_json(&req.to_json()).unwrap();
+        let text = req.canonical();
+        let back = crate::codec::decode_str(&text, SelectRequest::decode).unwrap();
         assert_eq!(back, req);
-        assert_eq!(
-            req.to_json().get("fault").and_then(Json::as_str),
-            Some("none")
-        );
+        let canonical = Json::parse(&text).unwrap();
+        assert_eq!(canonical.get("fault").and_then(Json::as_str), Some("none"));
     }
 }

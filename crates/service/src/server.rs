@@ -18,16 +18,19 @@
 use crate::cache::{CacheStats, ResponseCache};
 use crate::queue::BoundedQueue;
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle, ReplyFn, SubmitRequest};
-use crate::request::{decode_request_traced, encode_response, fnv1a, Request, Response};
+use crate::request::{
+    decode_request_traced, encode_response, Keyed, Request, RequestKey, Response,
+};
 use crate::simplify::SimplifyRequest;
 use crate::wire::{read_frame, write_frame};
 use gp_telemetry::flight::{self, FlightKind};
 use gp_telemetry::trace::{SpanId, TraceContext, TraceHandle, TraceId, TraceSpan, TraceStore};
+use gp_telemetry::{Counter, Gauge, Histogram, SpanSite};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -110,10 +113,8 @@ impl ServiceStats {
 /// push + wakeup — the serving core cannot tell the difference.
 struct Job {
     request: Request,
-    canonical: String,
-    hash: u64,
-    /// Environment fingerprint for `Simplify` (batching key).
-    batch_key: Option<u64>,
+    /// Canonical form, hash and (for `Simplify`) the batching key.
+    key: RequestKey,
     reply: ReplyFn,
     enqueued: Instant,
     /// Trace state riding with a sampled request (None = untraced).
@@ -157,47 +158,80 @@ struct ServiceInner {
     batched: AtomicU64,
 }
 
-fn span_name(kind: &str) -> &'static str {
-    match kind {
-        "lint" => "service.lint",
-        "simplify" => "service.simplify",
-        "optimize" => "service.optimize",
-        "prove" => "service.prove",
-        _ => "service.select",
-    }
+/// The serving core's instruments, resolved once per process: the
+/// per-request path formats no metric name and takes no registry lock.
+struct Metrics {
+    accepted: &'static Counter,
+    completed: &'static Counter,
+    shed: &'static Counter,
+    batch_merged: &'static Counter,
+    queue_depth: &'static Gauge,
+    /// `service.req.<kind>` and `service.latency.<kind>.ns`, indexed by
+    /// [`Request::kind_index`] and resolved on a kind's first request.
+    per_kind: [OnceLock<(&'static Counter, &'static Histogram)>; 7],
+}
+
+fn metrics() -> &'static Metrics {
+    static METRICS: OnceLock<Metrics> = OnceLock::new();
+    METRICS.get_or_init(|| Metrics {
+        accepted: gp_telemetry::counter("service.accepted"),
+        completed: gp_telemetry::counter("service.completed"),
+        shed: gp_telemetry::counter("service.shed"),
+        batch_merged: gp_telemetry::counter("service.batch.merged"),
+        queue_depth: gp_telemetry::gauge("service.queue.depth"),
+        per_kind: [const { OnceLock::new() }; 7],
+    })
+}
+
+/// `service.req.<kind>` and `service.latency.<kind>.ns` for a kind.
+fn kind_metrics(kind: usize) -> (&'static Counter, &'static Histogram) {
+    *metrics().per_kind[kind].get_or_init(|| {
+        let name = Request::KINDS[kind];
+        (
+            gp_telemetry::counter(&format!("service.req.{name}")),
+            gp_telemetry::histogram(&format!("service.latency.{name}.ns")),
+        )
+    })
+}
+
+/// The handler span of an executed kind (`service.<kind>`), indexed by
+/// [`Request::kind_index`]. Introspection kinds never execute and fall
+/// back to `select`'s site.
+fn handler_span(kind: usize) -> &'static SpanSite {
+    static SITES: [SpanSite; 5] = [
+        SpanSite::new("service.lint"),
+        SpanSite::new("service.simplify"),
+        SpanSite::new("service.optimize"),
+        SpanSite::new("service.prove"),
+        SpanSite::new("service.select"),
+    ];
+    &SITES[kind.min(4)]
 }
 
 /// The engine-stage trace span name for a request kind.
-fn engine_span_name(kind: &str) -> &'static str {
-    match kind {
-        "lint" => "engine.lint",
-        "simplify" => "engine.simplify",
-        "optimize" => "engine.optimize",
-        "prove" => "engine.prove",
-        _ => "engine.select",
-    }
+fn engine_span_name(kind: usize) -> &'static str {
+    [
+        "engine.lint",
+        "engine.simplify",
+        "engine.optimize",
+        "engine.prove",
+    ]
+    .get(kind)
+    .unwrap_or(&"engine.select")
 }
 
 /// Compact request-kind code for flight-recorder payload words.
-fn kind_code(kind: &str) -> u64 {
-    match kind {
-        "lint" => 1,
-        "simplify" => 2,
-        "prove" => 3,
-        "select" => 4,
-        "stats" => 5,
-        "trace" => 6,
-        "optimize" => 7,
-        _ => 0,
-    }
+fn kind_code(kind: usize) -> u64 {
+    // lint, simplify, optimize, prove, select, stats, trace
+    [1, 2, 7, 3, 4, 5, 6][kind]
 }
 
 impl ServiceInner {
-    fn submit(self: &Arc<Self>, request: Request) -> Ticket {
+    fn submit(self: &Arc<Self>, request: Keyed) -> Ticket {
         self.submit_traced(request, None)
     }
 
-    fn submit_traced(self: &Arc<Self>, request: Request, trace: Option<TraceHandle>) -> Ticket {
+    fn submit_traced(self: &Arc<Self>, request: Keyed, trace: Option<TraceHandle>) -> Ticket {
         let (tx, rx) = mpsc::channel();
         self.submit_traced_callback(
             request,
@@ -235,16 +269,12 @@ impl ServiceInner {
     /// The one submission path: admission control, cache, queue. `reply`
     /// is invoked exactly once — synchronously for sheds, cache hits, and
     /// introspection, from a worker otherwise.
-    fn submit_traced_callback(
-        &self,
-        request: Request,
-        mut trace: Option<TraceHandle>,
-        reply: ReplyFn,
-    ) {
-        let kind = request.kind();
+    fn submit_traced_callback(&self, keyed: Keyed, mut trace: Option<TraceHandle>, reply: ReplyFn) {
+        let Keyed { request, key } = keyed;
+        let kind = request.kind_index();
         self.accepted.fetch_add(1, Ordering::Relaxed);
-        gp_telemetry::counter("service.accepted").incr();
-        gp_telemetry::counter(&format!("service.req.{kind}")).incr();
+        metrics().accepted.incr();
+        kind_metrics(kind).0.incr();
 
         // Introspection answers even while draining — the whole point is
         // inspecting a server that is misbehaving.
@@ -260,11 +290,13 @@ impl ServiceInner {
             self.shed_one(kind, reply);
             return;
         }
-        let canonical = request.canonical();
-        let hash = fnv1a(&canonical);
         if let Some(cache) = &self.cache {
-            if let Some(payload) = cache.get(hash, &canonical) {
-                flight::record(FlightKind::CacheHit, kind_code(kind), hash & 0xffff_ffff);
+            if let Some(payload) = cache.get(key.hash, &key.canonical) {
+                flight::record(
+                    FlightKind::CacheHit,
+                    kind_code(kind),
+                    key.hash & 0xffff_ffff,
+                );
                 if let Some(t) = trace.take() {
                     // The hit never reaches a queue; a lone `cache` span
                     // under the caller's parent is the whole story. Drop
@@ -277,12 +309,12 @@ impl ServiceInner {
                 reply(Response::Ok { payload });
                 return;
             }
-            flight::record(FlightKind::CacheMiss, kind_code(kind), hash & 0xffff_ffff);
+            flight::record(
+                FlightKind::CacheMiss,
+                kind_code(kind),
+                key.hash & 0xffff_ffff,
+            );
         }
-        let batch_key = match &request {
-            Request::Simplify(r) => Some(r.env.fingerprint()),
-            _ => None,
-        };
         let job_trace = trace.take().map(|t| {
             // The executing shard owns the completed trace (first claim
             // wins, so a failover retry landing elsewhere re-claims).
@@ -296,16 +328,14 @@ impl ServiceInner {
         });
         let job = Job {
             request,
-            canonical,
-            hash,
-            batch_key,
+            key,
             reply,
             enqueued: Instant::now(),
             trace: job_trace,
         };
         match self.queue.try_push(job) {
             Ok(()) => {
-                gp_telemetry::gauge("service.queue.depth").add(1);
+                metrics().queue_depth.add(1);
                 flight::record(
                     FlightKind::Enqueue,
                     kind_code(kind),
@@ -321,17 +351,18 @@ impl ServiceInner {
         }
     }
 
-    fn shed_one(&self, kind: &str, reply: ReplyFn) {
+    fn shed_one(&self, kind: usize, reply: ReplyFn) {
         self.shed.fetch_add(1, Ordering::Relaxed);
-        gp_telemetry::counter("service.shed").incr();
+        metrics().shed.incr();
         flight::record(FlightKind::Shed, kind_code(kind), 0);
         reply(Response::Overloaded);
     }
 
-    fn complete_one(&self, kind: &str, enqueued: Instant) {
+    fn complete_one(&self, kind: usize, enqueued: Instant) {
         self.completed.fetch_add(1, Ordering::Relaxed);
-        gp_telemetry::counter("service.completed").incr();
-        gp_telemetry::histogram(&format!("service.latency.{kind}.ns"))
+        metrics().completed.incr();
+        kind_metrics(kind)
+            .1
             .record(enqueued.elapsed().as_nanos() as u64);
     }
 
@@ -339,15 +370,15 @@ impl ServiceInner {
     fn finish(&self, mut job: Job, result: Result<gp_core::json::Json, String>) {
         let response = match result {
             Ok(json) => {
-                let payload = json.render();
+                let payload = json.into_rendered();
                 if let Some(cache) = &self.cache {
-                    cache.put(job.hash, &job.canonical, &payload);
+                    cache.put(job.key.hash, &job.key.canonical, &payload);
                 }
                 Response::Ok { payload }
             }
             Err(message) => Response::Error { message },
         };
-        self.complete_one(job.request.kind(), job.enqueued);
+        self.complete_one(job.request.kind_index(), job.enqueued);
         // Drop the job's trace handle before replying: if these are the
         // last live clones the trace publishes here, strictly before the
         // response can reach a client — so a `trace` query issued after
@@ -372,9 +403,10 @@ impl ServiceInner {
             if let Some(t) = &mut job.trace {
                 t.queue_span.take();
                 let worker = t.ctx.span("worker", Some(t.queue_id));
-                let engine = t
-                    .ctx
-                    .span(engine_span_name(job.request.kind()), Some(worker.id()));
+                let engine = t.ctx.span(
+                    engine_span_name(job.request.kind_index()),
+                    Some(worker.id()),
+                );
                 stage_spans.push((worker, engine));
             }
         }
@@ -386,7 +418,7 @@ impl ServiceInner {
                     _ => unreachable!("only Simplify jobs carry a batch key"),
                 })
                 .collect();
-            let _span = gp_telemetry::span("service.simplify");
+            let _span = handler_span(batch[0].request.kind_index()).open();
             let results = catch_unwind(AssertUnwindSafe(|| crate::simplify::handle_batch(&reqs)));
             drop(stage_spans); // engine/worker spans end with the handler
             match results {
@@ -403,7 +435,7 @@ impl ServiceInner {
             }
         } else {
             let job = batch.pop().expect("batch is non-empty");
-            let _span = gp_telemetry::span(span_name(job.request.kind()));
+            let _span = handler_span(job.request.kind_index()).open();
             let result = catch_unwind(AssertUnwindSafe(|| job.request.handle()))
                 .unwrap_or_else(|_| Err("handler panicked".into()));
             drop(stage_spans); // engine/worker spans end with the handler
@@ -414,15 +446,15 @@ impl ServiceInner {
     /// Worker loop: pop, gather batch-mates, run on the global pool.
     fn worker_loop(self: Arc<Self>) {
         while let Some(job) = self.queue.pop() {
-            gp_telemetry::gauge("service.queue.depth").sub(1);
+            metrics().queue_depth.sub(1);
             let mut batch = vec![job];
-            if let Some(key) = batch[0].batch_key {
+            if let Some(key) = batch[0].key.batch {
                 while batch.len() < self.config.batch_max {
-                    match self.queue.try_take_matching(|j| j.batch_key == Some(key)) {
+                    match self.queue.try_take_matching(|j| j.key.batch == Some(key)) {
                         Some(mate) => {
-                            gp_telemetry::gauge("service.queue.depth").sub(1);
+                            metrics().queue_depth.sub(1);
                             self.batched.fetch_add(1, Ordering::Relaxed);
-                            gp_telemetry::counter("service.batch.merged").incr();
+                            metrics().batch_merged.incr();
                             batch.push(mate);
                         }
                         None => break,
@@ -432,7 +464,7 @@ impl ServiceInner {
             for job in &batch {
                 flight::record(
                     FlightKind::Dequeue,
-                    kind_code(job.request.kind()),
+                    kind_code(job.request.kind_index()),
                     batch.len() as u64,
                 );
             }
@@ -465,7 +497,7 @@ impl ServiceInner {
 }
 
 impl SubmitRequest for ServiceInner {
-    fn submit_traced(&self, request: Request, trace: Option<TraceHandle>, reply: ReplyFn) {
+    fn submit_traced(&self, request: Keyed, trace: Option<TraceHandle>, reply: ReplyFn) {
         self.submit_traced_callback(request, trace, reply);
     }
 }
@@ -525,16 +557,18 @@ impl Service {
     }
 
     /// Submit without waiting; the [`Ticket`] resolves to the response.
-    pub fn submit(&self, request: Request) -> Ticket {
-        self.inner.submit(request)
+    /// A [`Keyed`] request reuses its key; a bare [`Request`] is keyed
+    /// here.
+    pub fn submit(&self, request: impl Into<Keyed>) -> Ticket {
+        self.inner.submit(request.into())
     }
 
     /// Submit carrying a trace handle: the service opens `queue` →
     /// `worker` → `engine.<kind>` spans under the handle's parent and
     /// publishes the completed trace to this shard's store. `None`
     /// behaves exactly like [`Service::submit`].
-    pub fn submit_traced(&self, request: Request, trace: Option<TraceHandle>) -> Ticket {
-        self.inner.submit_traced(request, trace)
+    pub fn submit_traced(&self, request: impl Into<Keyed>, trace: Option<TraceHandle>) -> Ticket {
+        self.inner.submit_traced(request.into(), trace)
     }
 
     /// This shard's bounded store of completed traces (what `trace`
@@ -546,7 +580,7 @@ impl Service {
     /// The in-process client: submit and block for the answer — same
     /// admission control, cache, and batching as the socket path, minus
     /// the socket.
-    pub fn call(&self, request: Request) -> Response {
+    pub fn call(&self, request: impl Into<Keyed>) -> Response {
         self.submit(request).wait()
     }
 
@@ -683,7 +717,7 @@ fn serve_connection(inner: &Arc<ServiceInner>, mut stream: TcpStream) {
                     }
                     None => (None, None),
                 };
-                let response = inner.submit_traced(request, handle).wait();
+                let response = inner.submit_traced(request.into(), handle).wait();
                 // Close the root span before writing the response so the
                 // assembled trace is queryable the moment the client
                 // reads its answer.

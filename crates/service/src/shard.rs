@@ -25,7 +25,7 @@
 //! shard caches holds each key at most once.
 
 use crate::reactor::{Reactor, ReactorConfig, ReactorHandle, ReplyFn, SubmitRequest};
-use crate::request::{fnv1a, Request, Response};
+use crate::request::{fnv1a, Keyed, Request, Response};
 use crate::server::{Service, ServiceConfig, ServiceStats, Ticket};
 use gp_telemetry::trace::{TraceHandle, TraceStore};
 use std::io;
@@ -151,20 +151,6 @@ struct RouterInner {
 }
 
 impl RouterInner {
-    /// The routing key: environment fingerprint for `Simplify` (batch
-    /// density), canonical-form hash otherwise. Both are functions of
-    /// the canonical form, so the cache partition is deterministic.
-    fn routing_key(request: &Request) -> u64 {
-        match request {
-            Request::Simplify(r) => r.env.fingerprint(),
-            // Optimize deliberately hash-routes on its canonical form
-            // (not the env fingerprint): e-graph runs don't micro-batch,
-            // so spreading them across shards beats cache-partition
-            // affinity with simplify traffic.
-            other => fnv1a(&other.canonical()),
-        }
-    }
-
     /// Route among live shards only.
     fn route(&self, key: u64) -> usize {
         let alive = self.alive.load(Ordering::Acquire);
@@ -174,14 +160,19 @@ impl RouterInner {
     /// The shard that should answer `request`. A `trace` query routes to
     /// the shard whose store holds the trace (any shard may have executed
     /// it); everything else — including a trace id no store holds, which
-    /// the routed shard reports as not-found — hash-routes.
-    fn shard_for(&self, request: &Request) -> usize {
+    /// the routed shard reports as not-found — hash-routes on
+    /// [`crate::request::RequestKey::route`]: the environment fingerprint for `Simplify`,
+    /// the canonical hash otherwise. Optimize deliberately hash-routes on
+    /// its canonical form (not the env fingerprint): e-graph runs don't
+    /// micro-batch, so spreading them across shards beats
+    /// cache-partition affinity with simplify traffic.
+    fn shard_for(&self, request: &Request, route_key: u64) -> usize {
         if let Request::Trace(q) = request {
             if let Some(shard) = self.trace_stores.iter().position(|s| s.get(q.id).is_some()) {
                 return shard;
             }
         }
-        self.route(Self::routing_key(request))
+        self.route(route_key)
     }
 }
 
@@ -213,8 +204,8 @@ impl FailoverTarget for RouterInner {
 }
 
 impl SubmitRequest for RouterInner {
-    fn submit_traced(&self, request: Request, trace: Option<TraceHandle>, reply: ReplyFn) {
-        let shard = self.shard_for(&request);
+    fn submit_traced(&self, request: Keyed, trace: Option<TraceHandle>, reply: ReplyFn) {
+        let shard = self.shard_for(&request.request, request.key.route());
         match trace {
             Some(h) => {
                 // The `router` span brackets the routing decision and the
@@ -276,19 +267,21 @@ impl ShardRouter {
     /// dead shard's vnode ranges). A `trace` query routes to the shard
     /// whose store holds the trace.
     pub fn shard_of(&self, request: &Request) -> usize {
-        self.inner.shard_for(request)
+        self.inner.shard_for(request, request.route_key())
     }
 
     /// Submit without waiting; the [`Ticket`] resolves to the response.
-    pub fn submit(&self, request: Request) -> Ticket {
-        let shard = self.shard_of(&request);
+    pub fn submit(&self, request: impl Into<Keyed>) -> Ticket {
+        let request = request.into();
+        let shard = self.inner.shard_for(&request.request, request.key.route());
         self.services[shard].submit(request)
     }
 
     /// Submit carrying a trace handle: the router opens a `router` span
     /// and the chosen shard's spans nest under it.
-    pub fn submit_traced(&self, request: Request, trace: Option<TraceHandle>) -> Ticket {
-        let shard = self.shard_of(&request);
+    pub fn submit_traced(&self, request: impl Into<Keyed>, trace: Option<TraceHandle>) -> Ticket {
+        let request = request.into();
+        let shard = self.inner.shard_for(&request.request, request.key.route());
         let traced = trace.map(|h| {
             let span = h.span("router");
             let child = h.child_of(&span);
@@ -305,7 +298,7 @@ impl ShardRouter {
     }
 
     /// Route, submit, and block for the answer.
-    pub fn call(&self, request: Request) -> Response {
+    pub fn call(&self, request: impl Into<Keyed>) -> Response {
         self.submit(request).wait()
     }
 

@@ -15,11 +15,14 @@
 //! workloads, and the same bound every JSON consumer of the bench
 //! artifacts already lives with.
 
+use crate::codec::{canonical, decode_tree, first, first_shape, Decoded, Shaped};
 use crate::request::fnv1a;
-use gp_core::json::Json;
+use gp_core::json::{write_num, write_str, Json, Reader};
 use gp_core::numeric::Rational;
 use gp_rewrite::env::AlgConcept;
 use gp_rewrite::{BinOp, ConceptEnv, Expr, Simplifier, Type, UnOp, Value};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Simplify `expr` under a concept environment.
 #[derive(Clone, Debug, PartialEq)]
@@ -139,218 +142,392 @@ fn concept_from(s: &str) -> Result<AlgConcept, String> {
 
 // --- value / expression codec ------------------------------------------
 
-/// Encode a literal value.
-pub fn value_to_json(v: &Value) -> Json {
+fn write_value(out: &mut String, v: &Value) {
     match v {
-        Value::Int(x) => Json::obj().field("int", *x),
-        Value::UInt(x) => Json::obj().field("uint", *x),
-        Value::Float(x) => Json::obj().field("float", *x),
-        Value::Bool(b) => Json::obj().field("bool", *b),
-        Value::Str(s) => Json::obj().field("str", s.as_str()),
-        Value::Rational(r) => Json::obj().field(
-            "rational",
-            Json::Arr(vec![
-                Json::Num(r.numerator() as f64),
-                Json::Num(r.denominator() as f64),
-            ]),
-        ),
-        Value::BigFloat(x) => Json::obj().field("bigfloat", *x),
-    }
-}
-
-/// Decode a literal value.
-pub fn value_from_json(j: &Json) -> Result<Value, String> {
-    let num = |key: &str| j.get(key).and_then(Json::as_f64);
-    if let Some(x) = num("int") {
-        return Ok(Value::Int(x as i64));
-    }
-    if let Some(x) = num("uint") {
-        return Ok(Value::UInt(x as u64));
-    }
-    if let Some(x) = num("float") {
-        return Ok(Value::Float(x));
-    }
-    if let Some(b) = j.get("bool").and_then(Json::as_bool) {
-        return Ok(Value::Bool(b));
-    }
-    if let Some(s) = j.get("str").and_then(Json::as_str) {
-        return Ok(Value::Str(s.to_string()));
-    }
-    if let Some(x) = num("bigfloat") {
-        return Ok(Value::BigFloat(x));
-    }
-    if let Some(parts) = j.get("rational").and_then(Json::as_arr) {
-        if let [Json::Num(n), Json::Num(d)] = parts {
-            if *d == 0.0 {
-                return Err("rational with zero denominator".into());
-            }
-            return Ok(Value::Rational(Rational::new(*n as i64, *d as i64)));
+        Value::Int(x) => {
+            out.push_str("{\"int\":");
+            write_num(out, *x as f64);
         }
-        return Err("rational expects [num, den]".into());
+        Value::UInt(x) => {
+            out.push_str("{\"uint\":");
+            write_num(out, *x as f64);
+        }
+        Value::Float(x) => {
+            out.push_str("{\"float\":");
+            write_num(out, *x);
+        }
+        Value::Bool(b) => {
+            out.push_str(if *b {
+                "{\"bool\":true"
+            } else {
+                "{\"bool\":false"
+            });
+        }
+        Value::Str(s) => {
+            out.push_str("{\"str\":");
+            write_str(out, s);
+        }
+        Value::Rational(r) => {
+            out.push_str("{\"rational\":[");
+            write_num(out, r.numerator() as f64);
+            out.push(',');
+            write_num(out, r.denominator() as f64);
+            out.push(']');
+        }
+        Value::BigFloat(x) => {
+            out.push_str("{\"bigfloat\":");
+            write_num(out, *x);
+        }
     }
-    Err(format!("unrecognized value {:?}", j.render()))
+    out.push('}');
 }
 
-/// Encode an expression as a JSON AST.
-pub fn expr_to_json(e: &Expr) -> Json {
+/// Decode a literal value: the first of `int`, `uint`, `float`, `bool`,
+/// `str`, `bigfloat`, `rational` present with the right JSON type.
+fn decode_value(r: &mut Reader<'_>) -> Decoded<Value> {
+    let rank = |key: &str| match key {
+        "int" => Some(0),
+        "uint" => Some(1),
+        "float" => Some(2),
+        "bool" => Some(3),
+        "str" => Some(4),
+        "bigfloat" => Some(5),
+        "rational" => Some(6),
+        _ => None,
+    };
+    let (value, text) = first_shape(r, rank, |r, rank| {
+        Ok(match rank {
+            0 => r.opt_num()?.map(|x| Ok(Value::Int(x as i64))),
+            1 => r.opt_num()?.map(|x| Ok(Value::UInt(x as u64))),
+            2 => r.opt_num()?.map(|x| Ok(Value::Float(x))),
+            3 => r.opt_bool()?.map(|b| Ok(Value::Bool(b))),
+            4 => r.opt_str()?.map(|s| Ok(Value::Str(s.into_owned()))),
+            5 => r.opt_num()?.map(|x| Ok(Value::BigFloat(x))),
+            _ => decode_rational(r)?,
+        })
+    })?;
+    Ok(value.unwrap_or_else(|| Err(format!("unrecognized value {:?}", canonical(text)))))
+}
+
+/// A `rational` field: `None` if it is not an array.
+fn decode_rational(r: &mut Reader<'_>) -> Shaped<Value> {
+    let (mut nums, mut len) = ([None, None], 0);
+    let is_array = r.array(|r, i| {
+        len = i + 1;
+        match nums.get_mut(i) {
+            Some(slot) => *slot = r.opt_num()?,
+            None => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(is_array.then(|| match (len, nums) {
+        // Checked here, not left to `Rational::new`: its assertion (a
+        // denominator like 0.5 truncates to 0) and its `i64::MIN`
+        // overflow would panic the thread decoding the frame.
+        (2, [Some(n), Some(d)]) => match (n as i64, d as i64) {
+            (_, 0) => Err("rational with zero denominator".into()),
+            (i64::MIN, _) | (_, i64::MIN) => Err("rational out of range".into()),
+            (n, d) => Ok(Value::Rational(Rational::new(n, d))),
+        },
+        _ => Err("rational expects [num, den]".into()),
+    }))
+}
+
+/// Write an expression as its JSON AST (`{"bin":["+",l,r]}` …).
+pub(crate) fn write_expr(out: &mut String, e: &Expr) {
     match e {
-        Expr::Lit(v) => Json::obj().field("lit", value_to_json(v)),
-        Expr::Var(name, ty) => Json::obj().field(
-            "var",
-            Json::Arr(vec![Json::Str(name.clone()), Json::from(type_name(*ty))]),
-        ),
-        Expr::Unary(op, x) => Json::obj().field(
-            "un",
-            Json::Arr(vec![Json::from(unop_name(*op)), expr_to_json(x)]),
-        ),
-        Expr::Binary(op, l, r) => Json::obj().field(
-            "bin",
-            Json::Arr(vec![
-                Json::from(op.symbol()),
-                expr_to_json(l),
-                expr_to_json(r),
-            ]),
-        ),
-        Expr::Call(name, ty, args) => Json::obj().field(
-            "call",
-            Json::Arr(vec![
-                Json::Str(name.clone()),
-                Json::from(type_name(*ty)),
-                Json::Arr(args.iter().map(expr_to_json).collect()),
-            ]),
-        ),
+        Expr::Lit(v) => {
+            out.push_str("{\"lit\":");
+            write_value(out, v);
+        }
+        Expr::Var(name, ty) => {
+            out.push_str("{\"var\":[");
+            write_str(out, name);
+            out.push(',');
+            write_str(out, type_name(*ty));
+            out.push(']');
+        }
+        Expr::Unary(op, x) => {
+            out.push_str("{\"un\":[");
+            write_str(out, unop_name(*op));
+            out.push(',');
+            write_expr(out, x);
+            out.push(']');
+        }
+        Expr::Binary(op, l, r) => {
+            out.push_str("{\"bin\":[");
+            write_str(out, op.symbol());
+            out.push(',');
+            write_expr(out, l);
+            out.push(',');
+            write_expr(out, r);
+            out.push(']');
+        }
+        Expr::Call(name, ty, args) => {
+            out.push_str("{\"call\":[");
+            write_str(out, name);
+            out.push(',');
+            write_str(out, type_name(*ty));
+            out.push_str(",[");
+            for (i, arg) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_expr(out, arg);
+            }
+            out.push_str("]]");
+        }
     }
+    out.push('}');
 }
 
-/// Decode a JSON AST back into an expression.
+/// Encode an expression as a JSON AST (pre-rendered: a [`Json::Raw`]).
+pub fn expr_to_json(e: &Expr) -> Json {
+    let mut out = String::new();
+    write_expr(&mut out, e);
+    Json::Raw(out)
+}
+
+/// Decode a JSON AST back into an expression (through the same
+/// streaming decoder the wire uses).
 pub fn expr_from_json(j: &Json) -> Result<Expr, String> {
-    if let Some(v) = j.get("lit") {
-        return Ok(Expr::Lit(value_from_json(v)?));
-    }
-    if let Some(parts) = j.get("var").and_then(Json::as_arr) {
-        if let [Json::Str(name), Json::Str(ty)] = parts {
-            return Ok(Expr::Var(name.clone(), type_from(ty)?));
+    decode_tree(j, decode_expr)
+}
+
+/// Decode an expression (see [`decode_boxed`]).
+pub(crate) fn decode_expr(r: &mut Reader<'_>) -> Decoded<Expr> {
+    decode_boxed(r).map(|e| e.map(|e| *e))
+}
+
+/// Decode an expression: the first of `lit`, `var`, `un`, `bin`, `call`
+/// present (the last four only as arrays) decides its shape. Each node
+/// is boxed where it is built, so only pointers move up the recursion.
+fn decode_boxed(r: &mut Reader<'_>) -> Decoded<Box<Expr>> {
+    let rank = |key: &str| match key {
+        "lit" => Some(0),
+        "var" => Some(1),
+        "un" => Some(2),
+        "bin" => Some(3),
+        "call" => Some(4),
+        _ => None,
+    };
+    let (expr, text) = first_shape(r, rank, |r, rank| match rank {
+        0 => Ok(Some(decode_value(r)?.map(|v| Box::new(Expr::Lit(v))))),
+        1 => decode_var(r),
+        2 => decode_un(r),
+        3 => decode_bin(r),
+        _ => decode_call(r),
+    })?;
+    Ok(expr.unwrap_or_else(|| Err(format!("unrecognized expression {:?}", canonical(text)))))
+}
+
+fn decode_var(r: &mut Reader<'_>) -> Shaped<Box<Expr>> {
+    let (mut name, mut ty, mut len) = (None, None, 0);
+    let is_array = r.array(|r, i| {
+        len = i + 1;
+        match i {
+            0 => name = r.opt_str()?,
+            1 => ty = r.opt_str()?,
+            _ => r.skip()?,
         }
-        return Err("var expects [name, type]".into());
-    }
-    if let Some(parts) = j.get("un").and_then(Json::as_arr) {
-        if let [Json::Str(op), x] = parts {
-            return Ok(Expr::Unary(unop_from(op)?, Box::new(expr_from_json(x)?)));
+        Ok(())
+    })?;
+    Ok(is_array.then(|| match (len, name, ty) {
+        (2, Some(name), Some(ty)) => Ok(Box::new(Expr::Var(name.into_owned(), type_from(&ty)?))),
+        _ => Err("var expects [name, type]".into()),
+    }))
+}
+
+fn decode_un(r: &mut Reader<'_>) -> Shaped<Box<Expr>> {
+    let (mut op, mut x, mut len) = (None, None, 0);
+    let is_array = r.array(|r, i| {
+        len = i + 1;
+        match i {
+            0 => op = r.opt_str()?,
+            1 => x = Some(decode_boxed(r)?),
+            _ => r.skip()?,
         }
-        return Err("un expects [op, expr]".into());
-    }
-    if let Some(parts) = j.get("bin").and_then(Json::as_arr) {
-        if let [Json::Str(op), l, r] = parts {
-            return Ok(Expr::Binary(
-                binop_from(op)?,
-                Box::new(expr_from_json(l)?),
-                Box::new(expr_from_json(r)?),
-            ));
+        Ok(())
+    })?;
+    Ok(is_array.then(|| match (len, op, x) {
+        (2, Some(op), Some(x)) => Ok(Box::new(Expr::Unary(unop_from(&op)?, x?))),
+        _ => Err("un expects [op, expr]".into()),
+    }))
+}
+
+fn decode_bin(r: &mut Reader<'_>) -> Shaped<Box<Expr>> {
+    let (mut op, mut lhs, mut rhs, mut len) = (None, None, None, 0);
+    let is_array = r.array(|r, i| {
+        len = i + 1;
+        match i {
+            0 => op = r.opt_str()?,
+            1 => lhs = Some(decode_boxed(r)?),
+            2 => rhs = Some(decode_boxed(r)?),
+            _ => r.skip()?,
         }
-        return Err("bin expects [op, lhs, rhs]".into());
-    }
-    if let Some(parts) = j.get("call").and_then(Json::as_arr) {
-        if let [Json::Str(name), Json::Str(ty), Json::Arr(args)] = parts {
-            let args = args
-                .iter()
-                .map(expr_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Expr::Call(name.clone(), type_from(ty)?, args));
+        Ok(())
+    })?;
+    Ok(is_array.then(|| match (len, op, lhs, rhs) {
+        (3, Some(op), Some(l), Some(r)) => Ok(Box::new(Expr::Binary(binop_from(&op)?, l?, r?))),
+        _ => Err("bin expects [op, lhs, rhs]".into()),
+    }))
+}
+
+fn decode_call(r: &mut Reader<'_>) -> Shaped<Box<Expr>> {
+    let (mut name, mut ty, mut args, mut len) = (None, None, None, 0);
+    let is_array = r.array(|r, i| {
+        len = i + 1;
+        match i {
+            0 => name = r.opt_str()?,
+            1 => ty = r.opt_str()?,
+            2 => args = decode_list(r, decode_expr)?,
+            _ => r.skip()?,
         }
-        return Err("call expects [name, type, [args]]".into());
-    }
-    Err(format!("unrecognized expression {:?}", j.render()))
+        Ok(())
+    })?;
+    Ok(is_array.then(|| match (len, name, ty, args) {
+        (3, Some(name), Some(ty), Some(args)) => {
+            let args = args?;
+            Ok(Box::new(Expr::Call(
+                name.into_owned(),
+                type_from(&ty)?,
+                args,
+            )))
+        }
+        _ => Err("call expects [name, type, [args]]".into()),
+    }))
+}
+
+/// An array of items: `None` if the value is not an array, otherwise
+/// every item or the first item's error.
+fn decode_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Shaped<Vec<T>> {
+    let mut items = Ok(Vec::new());
+    let is_array = r.array(|r, _| {
+        let decoded = item(r)?;
+        if let Ok(list) = &mut items {
+            match decoded {
+                Ok(x) => list.push(x),
+                Err(e) => items = Err(e),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(is_array.then_some(items))
 }
 
 // --- environment codec --------------------------------------------------
 
 impl EnvDecl {
-    fn to_json(&self) -> Json {
-        let mut j = Json::obj()
-            .field("ty", type_name(self.ty))
-            .field("op", self.op.symbol())
-            .field(
-                "concepts",
-                Json::Arr(
-                    self.concepts
-                        .iter()
-                        .map(|c| Json::from(concept_name(*c)))
-                        .collect(),
-                ),
-            );
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"ty\":");
+        write_str(out, type_name(self.ty));
+        out.push_str(",\"op\":");
+        write_str(out, self.op.symbol());
+        out.push_str(",\"concepts\":[");
+        for (i, c) in self.concepts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(out, concept_name(*c));
+        }
+        out.push(']');
         if let Some(v) = &self.identity {
-            j = j.field("identity", value_to_json(v));
+            out.push_str(",\"identity\":");
+            write_value(out, v);
         }
         if let Some(v) = &self.annihilator {
-            j = j.field("annihilator", value_to_json(v));
+            out.push_str(",\"annihilator\":");
+            write_value(out, v);
         }
         if let Some(u) = self.inverse {
-            j = j.field("inverse", unop_name(u));
+            out.push_str(",\"inverse\":");
+            write_str(out, unop_name(u));
         }
-        j
+        out.push('}');
     }
 
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let ty = type_from(
-            j.get("ty")
-                .and_then(Json::as_str)
-                .ok_or("declaration missing 'ty'")?,
-        )?;
-        let op = binop_from(
-            j.get("op")
-                .and_then(Json::as_str)
-                .ok_or("declaration missing 'op'")?,
-        )?;
-        let concepts = j
-            .get("concepts")
-            .and_then(Json::as_arr)
-            .ok_or("declaration missing 'concepts' array")?
-            .iter()
-            .map(|c| concept_from(c.as_str().ok_or("concept must be a string")?))
-            .collect::<Result<Vec<_>, String>>()?;
-        let identity = j.get("identity").map(value_from_json).transpose()?;
-        let annihilator = j.get("annihilator").map(value_from_json).transpose()?;
-        let inverse = j
-            .get("inverse")
-            .map(|u| unop_from(u.as_str().ok_or("inverse must be a string")?))
-            .transpose()?;
-        Ok(EnvDecl {
-            ty,
-            op,
-            concepts,
-            identity,
-            annihilator,
-            inverse,
-        })
+    fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        let (mut ty, mut op, mut concepts) = (None, None, None);
+        let (mut identity, mut annihilator, mut inverse) = (None, None, None);
+        r.object(|r, key| match &*key {
+            "ty" => first(&mut ty, r, Reader::opt_str),
+            "op" => first(&mut op, r, Reader::opt_str),
+            "concepts" => first(&mut concepts, r, |r| {
+                decode_list(r, |r| {
+                    Ok(match r.opt_str()? {
+                        Some(c) => concept_from(&c),
+                        None => Err("concept must be a string".into()),
+                    })
+                })
+            }),
+            "identity" => first(&mut identity, r, decode_value),
+            "annihilator" => first(&mut annihilator, r, decode_value),
+            "inverse" => first(&mut inverse, r, Reader::opt_str),
+            _ => r.skip(),
+        })?;
+        Ok((|| {
+            let ty = type_from(&ty.flatten().ok_or("declaration missing 'ty'")?)?;
+            let op = binop_from(&op.flatten().ok_or("declaration missing 'op'")?)?;
+            let concepts = concepts
+                .flatten()
+                .ok_or("declaration missing 'concepts' array")??;
+            let identity = identity.transpose()?;
+            let annihilator = annihilator.transpose()?;
+            let inverse = inverse
+                .map(|u| unop_from(&u.ok_or("inverse must be a string")?))
+                .transpose()?;
+            Ok(EnvDecl {
+                ty,
+                op,
+                concepts,
+                identity,
+                annihilator,
+                inverse,
+            })
+        })())
     }
 }
 
 impl EnvSpec {
-    /// Canonical JSON form.
-    pub fn to_json(&self) -> Json {
+    /// Write the canonical JSON form: `"standard"` or `{"declare":[...]}`.
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
-            EnvSpec::Standard => Json::from("standard"),
-            EnvSpec::Custom(decls) => Json::obj().field(
-                "declare",
-                Json::Arr(decls.iter().map(EnvDecl::to_json).collect()),
-            ),
+            EnvSpec::Standard => out.push_str("\"standard\""),
+            EnvSpec::Custom(decls) => {
+                out.push_str("{\"declare\":[");
+                for (i, d) in decls.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    d.write_json(out);
+                }
+                out.push_str("]}");
+            }
         }
     }
 
     /// Decode; the string `"standard"` or `{"declare": [...]}`.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        if let Some("standard") = j.as_str() {
-            return Ok(EnvSpec::Standard);
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        const SHAPE: &str = "env must be \"standard\" or {\"declare\": [...]}";
+        if r.peek() == Some(b'"') {
+            return Ok(if r.str()? == "standard" {
+                Ok(EnvSpec::Standard)
+            } else {
+                Err(SHAPE.into())
+            });
         }
-        if let Some(decls) = j.get("declare").and_then(Json::as_arr) {
-            return Ok(EnvSpec::Custom(
-                decls
-                    .iter()
-                    .map(EnvDecl::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-            ));
-        }
-        Err("env must be \"standard\" or {\"declare\": [...]}".into())
+        let mut declare = None;
+        r.object(|r, key| match &*key {
+            "declare" => first(&mut declare, r, |r| decode_list(r, EnvDecl::decode)),
+            _ => r.skip(),
+        })?;
+        Ok(match declare.flatten() {
+            Some(decls) => decls.map(EnvSpec::Custom),
+            None => Err(SHAPE.into()),
+        })
     }
 
     /// Materialize the concept environment this spec describes.
@@ -381,29 +558,45 @@ impl EnvSpec {
     }
 
     /// The batching key: hash of the canonical environment JSON. Requests
-    /// with equal fingerprints can share one `Simplifier`.
+    /// with equal fingerprints can share one `Simplifier`. A served
+    /// request takes it from its canonical form instead
+    /// ([`crate::request::RequestKey`]), which contains the same bytes.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&self.to_json().render())
+        let mut out = String::new();
+        self.write_json(&mut out);
+        fnv1a(&out)
     }
 }
 
 impl SimplifyRequest {
-    /// Canonical JSON form (field order fixed — cache keys depend on it).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("expr", expr_to_json(&self.expr))
-            .field("env", self.env.to_json())
+    /// Write the canonical JSON form (field order fixed — cache keys
+    /// depend on it); returns where the environment landed in `out`.
+    pub(crate) fn write_json(&self, out: &mut String) -> Range<usize> {
+        out.push_str("{\"expr\":");
+        write_expr(out, &self.expr);
+        out.push_str(",\"env\":");
+        let env_start = out.len();
+        self.env.write_json(out);
+        let env = env_start..out.len();
+        out.push('}');
+        env
     }
 
-    /// Decode from the `req` object of a request envelope. A missing
-    /// `env` defaults to the standard environment.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let expr = expr_from_json(j.get("expr").ok_or("simplify: missing 'expr'")?)?;
-        let env = match j.get("env") {
-            None => EnvSpec::Standard,
-            Some(e) => EnvSpec::from_json(e)?,
-        };
-        Ok(SimplifyRequest { expr, env })
+    /// Decode the `req` object of a request envelope. A missing `env`
+    /// defaults to the standard environment.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Decoded<Self> {
+        let (mut expr, mut env) = (None, None);
+        r.object(|r, key| match &*key {
+            "expr" => first(&mut expr, r, decode_expr),
+            "env" => first(&mut env, r, EnvSpec::decode),
+            _ => r.skip(),
+        })?;
+        Ok((|| {
+            Ok(SimplifyRequest {
+                expr: expr.ok_or("simplify: missing 'expr'")??,
+                env: env.unwrap_or(Ok(EnvSpec::Standard))?,
+            })
+        })())
     }
 }
 
@@ -449,23 +642,46 @@ pub fn handle_batch(reqs: &[SimplifyRequest]) -> Vec<Result<Json, String>> {
         .collect()
 }
 
+/// The payload for one simplified expression, written directly.
 fn render_result(out: &Expr, stats: &gp_rewrite::SimplifyStats) -> Json {
-    let mut apps = Json::obj();
-    for (rule, count) in &stats.applications {
-        apps = apps.field(rule, *count);
+    let mut s = String::new();
+    write_rewrite_head(&mut s, out);
+    s.push_str("{\"iterations\":");
+    write_num(&mut s, stats.iterations as f64);
+    s.push_str(",\"size_before\":");
+    write_num(&mut s, stats.size_before as f64);
+    s.push_str(",\"size_after\":");
+    write_num(&mut s, stats.size_after as f64);
+    s.push_str(",\"total\":");
+    write_num(&mut s, stats.total() as f64);
+    s.push_str(",\"applications\":");
+    write_counts(&mut s, &stats.applications);
+    s.push_str("}}");
+    Json::Raw(s)
+}
+
+/// The start every rewrite payload shares, up to the `stats` object:
+/// `{"expr":...,"display":"...","stats":`.
+pub(crate) fn write_rewrite_head(s: &mut String, out: &Expr) {
+    s.push_str("{\"expr\":");
+    write_expr(s, out);
+    s.push_str(",\"display\":");
+    write_str(s, &out.to_string());
+    s.push_str(",\"stats\":");
+}
+
+/// A rule → count map as a JSON object, in the map's order.
+pub(crate) fn write_counts(s: &mut String, counts: &BTreeMap<String, usize>) {
+    s.push('{');
+    for (i, (rule, count)) in counts.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        write_str(s, rule);
+        s.push(':');
+        write_num(s, *count as f64);
     }
-    Json::obj()
-        .field("expr", expr_to_json(out))
-        .field("display", out.to_string())
-        .field(
-            "stats",
-            Json::obj()
-                .field("iterations", stats.iterations)
-                .field("size_before", stats.size_before)
-                .field("size_after", stats.size_after)
-                .field("total", stats.total())
-                .field("applications", apps),
-        )
+    s.push('}');
 }
 
 #[cfg(test)]
@@ -509,7 +725,7 @@ mod tests {
             expr: x_times_one_plus_y_minus_y(),
             env: EnvSpec::Standard,
         };
-        let payload = handle(&req).unwrap();
+        let payload = Json::parse(&handle(&req).unwrap().render()).unwrap();
         assert_eq!(payload.get("display").and_then(Json::as_str), Some("x"));
     }
 
@@ -534,10 +750,12 @@ mod tests {
             ),
             env: env.clone(),
         };
-        let decoded =
-            SimplifyRequest::from_json(&Json::parse(&req.to_json().render()).unwrap()).unwrap();
+        let text = crate::codec::written(|out| {
+            req.write_json(out);
+        });
+        let decoded = crate::codec::decode_str(&text, SimplifyRequest::decode).unwrap();
         assert_eq!(decoded, req);
-        let payload = handle(&req).unwrap();
+        let payload = Json::parse(&handle(&req).unwrap().render()).unwrap();
         assert_eq!(payload.get("display").and_then(Json::as_str), Some("m"));
     }
 

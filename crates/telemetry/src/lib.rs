@@ -14,7 +14,8 @@
 //! * **Always compiled, cheap when idle.** Hot-path instrumentation is a
 //!   single relaxed atomic increment on a pre-resolved [`Counter`]; there
 //!   is no feature gate to get wrong, and the registry lock is touched
-//!   only at name-resolution time (cold) and snapshot time.
+//!   only at name-resolution time (a shared read lock, allocation-free
+//!   once the name exists) and snapshot time.
 //! * **Runtime kill switch.** [`set_enabled`]`(false)` turns
 //!   [`span`] timers into no-ops (no clock reads); counters keep counting
 //!   because a relaxed increment is cheaper than a branch misprediction
@@ -41,7 +42,7 @@ pub mod trace;
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use metric::{Counter, Gauge, HistSnapshot, Histogram};
 pub use registry::{global, Registry, Snapshot};
-pub use span::{current_span_path, span, SpanTimer};
+pub use span::{current_span_path, span, SpanSite, SpanTimer};
 pub use trace::{SpanId, TraceContext, TraceHandle, TraceId, TraceSpan, TraceStore};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -61,8 +62,8 @@ pub fn enabled() -> bool {
 }
 
 /// Convenience: the counter named `name` in the global registry
-/// (resolving by name takes the registry lock — cache the returned
-/// reference on hot paths).
+/// (resolving by name is a map lookup under the registry's read lock —
+/// cache the returned reference on hot paths).
 pub fn counter(name: &str) -> &'static Counter {
     global().counter(name)
 }

@@ -1,16 +1,19 @@
 //! The process-wide metric registry and point-in-time snapshots.
 //!
-//! Name resolution (`counter("pool.steal_hit")`) takes a mutex and
-//! allocates once per distinct name — strictly cold-path; instruments are
-//! leaked into `'static` storage so the returned references can be cached
-//! in `OnceLock`s next to the hot loops that bump them. Snapshots walk the
-//! name map under the same mutex but read each instrument with relaxed
-//! loads, so they never block writers.
+//! Name resolution (`counter("pool.steal_hit")`) looks the name up under
+//! a shared read lock and allocates nothing when the instrument exists;
+//! only the first resolution of a name takes the write lock and copies
+//! the name. It is still a map lookup under a lock, so hot loops resolve
+//! once and keep the reference: instruments are leaked into `'static`
+//! storage so the returned references can be cached in `OnceLock`s next
+//! to the code that bumps them. Snapshots walk the name map under the
+//! read lock but read each instrument with relaxed loads, so they never
+//! block writers.
 
 use crate::metric::{Counter, Gauge, HistSnapshot, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{OnceLock, RwLock};
 
 #[derive(Default)]
 struct Inner {
@@ -23,7 +26,7 @@ struct Inner {
 /// [`global`] instance; tests can build private registries.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<Inner>,
+    inner: RwLock<Inner>,
 }
 
 /// The process-wide registry every subsystem reports into.
@@ -41,34 +44,39 @@ impl Registry {
     /// The counter named `name`, created on first use. The reference is
     /// `'static`: resolve once, cache, and increment lock-free after.
     pub fn counter(&self, name: &str) -> &'static Counter {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner
-            .counters
-            .entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Counter::new())))
+        self.resolve(name, |i| &i.counters, |i| &mut i.counters)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> &'static Gauge {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
+        self.resolve(name, |i| &i.gauges, |i| &mut i.gauges)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> &'static Histogram {
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner
-            .histograms
+        self.resolve(name, |i| &i.histograms, |i| &mut i.histograms)
+    }
+
+    /// Look `name` up by `&str` under the read lock; only a miss takes
+    /// the write lock, allocates the name and leaks a new instrument.
+    fn resolve<T: Default + 'static>(
+        &self,
+        name: &str,
+        map: impl Fn(&Inner) -> &BTreeMap<String, &'static T>,
+        map_mut: impl Fn(&mut Inner) -> &mut BTreeMap<String, &'static T>,
+    ) -> &'static T {
+        if let Some(&found) = map(&self.inner.read().expect("registry lock")).get(name) {
+            return found;
+        }
+        let mut inner = self.inner.write().expect("registry lock");
+        map_mut(&mut inner)
             .entry(name.to_string())
-            .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+            .or_insert_with(|| Box::leak(Box::default()))
     }
 
     /// Point-in-time view of every registered instrument.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().expect("registry lock");
+        let inner = self.inner.read().expect("registry lock");
         Snapshot {
             counters: inner
                 .counters
